@@ -1,8 +1,8 @@
 """Dense float64 tensors with a small reverse-mode tape and an Adam optimizer.
 
 The tape covers exactly the operations the rest of the package needs
-(matmul, broadcasting arithmetic, ReLU/sigmoid/log/sqrt, reductions, row
-gather/concat, slicing, reshape). Graphs are rebuilt every step, so freeze
+(matmul, einsum, broadcasting arithmetic, ReLU/sigmoid/log/sqrt, reductions,
+indexing, reshape). Graphs are rebuilt every step, so freeze
 state is captured at construction time of each node.
 """
 
@@ -148,13 +148,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data @ b.data, _parents=(a, b), _backward=bwd)
 
 
-def transpose(a: Tensor) -> Tensor:
-    def bwd(g, a=a):
-        _acc(a, g.T)
-
-    return Tensor(a.data.T, _parents=(a,), _backward=bwd)
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
 
@@ -165,10 +158,14 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-a.data))
+    """Logistic function from exp(-|x|), which never overflows."""
+    e = np.exp(-np.abs(a.data))
+    inv = 1.0 / (1.0 + e)
+    out = np.where(a.data >= 0, inv, e * inv)
+    slope = e * inv * inv
 
-    def bwd(g, a=a, out=out):
-        _acc(a, g * out * (1.0 - out))
+    def bwd(g, a=a, slope=slope):
+        _acc(a, g * slope)
 
     return Tensor(out, _parents=(a,), _backward=bwd)
 
@@ -224,40 +221,66 @@ def reshape(a: Tensor, shape) -> Tensor:
     return Tensor(a.data.reshape(shape), _parents=(a,), _backward=bwd)
 
 
+def _is_basic_index(idx) -> bool:
+    """True for ints, slices, None and Ellipsis (and tuples of them)."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(p is None or p is Ellipsis or isinstance(p, (int, np.integer, slice))
+               for p in parts)
+
+
 def tslice(a: Tensor, idx) -> Tensor:
-    def bwd(g, a=a, idx=idx):
+    """numpy indexing; integer-array indices may repeat and then accumulate."""
+    basic = _is_basic_index(idx)
+
+    def bwd(g, a=a, idx=idx, basic=basic):
         if a.requires_grad:
             full = np.zeros_like(a.data)
-            np.add.at(full, idx, g)
+            if basic:
+                full[idx] = g
+            else:
+                np.add.at(full, idx, g)
             _acc(a, full)
 
     return Tensor(a.data[idx], _parents=(a,), _backward=bwd)
 
 
-def take_rows(a: Tensor, idx) -> Tensor:
-    """Gather rows of a 2-D tensor by integer index."""
-    idx = np.asarray(idx, dtype=np.intp)
+def einsum(spec: str, *operands: Tensor) -> Tensor:
+    """np.einsum over explicit subscripts ('ij,jk->ik'); each operand's
+    gradient is itself an einsum of the output gradient with the others.
 
-    def bwd(g, a=a, idx=idx):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            np.add.at(full, idx, g)
-            _acc(a, full)
+    Subscripts may not repeat within an operand and may not use '...'. An
+    index that appears in only one operand and not in the output is summed
+    there; its gradient is broadcast back along that index.
+    """
+    if "->" not in spec or "." in spec:
+        raise GraphError(f"einsum needs explicit subscripts without '...', got '{spec}'")
+    inputs, output = spec.split("->")
+    subs = inputs.split(",")
+    if len(subs) != len(operands):
+        raise DimensionError(f"einsum '{spec}' names {len(subs)} operands, "
+                             f"got {len(operands)}")
+    for sub, t in zip(subs, operands):
+        if len(set(sub)) != len(sub) or len(sub) != t.data.ndim:
+            raise DimensionError(f"einsum '{spec}': operand subscripts '{sub}' "
+                                 f"do not fit shape {t.shape}")
+    datas = [t.data for t in operands]
 
-    return Tensor(a.data[idx], _parents=(a,), _backward=bwd)
+    def bwd(g, operands=operands, subs=subs, output=output, datas=datas):
+        for i, t in enumerate(operands):
+            if not t.requires_grad:
+                continue
+            others = [s for j, s in enumerate(subs) if j != i]
+            seen = set(output).union(*others)
+            kept = "".join(c for c in subs[i] if c in seen)
+            grad = np.einsum(",".join([output] + others) + "->" + kept,
+                             g, *(d for j, d in enumerate(datas) if j != i))
+            if kept != subs[i]:
+                grad = np.broadcast_to(
+                    grad.reshape([t.data.shape[k] if c in seen else 1
+                                  for k, c in enumerate(subs[i])]), t.data.shape)
+            _acc(t, grad)
 
-
-def concat_rows(tensors: list[Tensor]) -> Tensor:
-    """Concatenate 2-D tensors along axis 0."""
-    sizes = [t.data.shape[0] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g, tensors=tensors, offsets=offsets):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            _acc(t, g[lo:hi])
-
-    return Tensor(np.concatenate([t.data for t in tensors], axis=0),
-                  _parents=tuple(tensors), _backward=bwd)
+    return Tensor(np.einsum(spec, *datas), _parents=tuple(operands), _backward=bwd)
 
 
 def backward(loss: Tensor) -> None:
@@ -424,9 +447,3 @@ def mlp_forward(x: Tensor, layers: ParamGroup, activation: str = "relu",
     if squeeze:
         h = reshape(h, (-1,))
     return h
-
-
-def check_finite(t: Tensor, what: str) -> Tensor:
-    if not np.all(np.isfinite(t.data)):
-        raise GraphError(f"non-finite values in {what}")
-    return t

@@ -250,14 +250,15 @@ def export_filters(checkpoint, vectors, targets, out):
         else:
             ind = build_indicator(name, store)
             vector, tokens, skipped = ind.vector, ind.tokens, ind.skipped
-        thetas = hfilt.target_theta(model.hyper, vector)
+        thetas = [hfilt.assemble_theta(f).data[0]
+                  for f in hfilt.target_theta(model.hyper, vector.reshape(1, -1))]
         entries.append({
             "name": name,
             "tokens": tokens,
             "skipped_tokens": skipped,
             "seen_in_training": name in model.indicators,
             "indicator": [float(v) for v in vector],
-            "theta": [[float(v) for v in t.data.reshape(-1)] for t in thetas],
+            "theta": [[float(v) for v in t.reshape(-1)] for t in thetas],
         })
     with open(out, "w", encoding="utf-8") as fh:
         json.dump({"hidden_dim": model.config.hidden_dim,

@@ -29,7 +29,7 @@ class PostRecord:
             raise DataError(f"record '{self.id}': empty target set")
         if self.text is None and self.embedding is None:
             raise DataError(f"record '{self.id}': neither text nor embedding present")
-        if self.label not in (0, 1):
+        if isinstance(self.label, bool) or self.label not in (0, 1):
             raise DataError(f"record '{self.id}': label must be 0 or 1, got {self.label}")
         if self.embedding is not None and not np.all(np.isfinite(self.embedding)):
             raise DataError(f"record '{self.id}': non-finite embedding values")

@@ -16,8 +16,6 @@ from . import autodiff as ad
 from .autodiff import ParamGroup, Tensor
 from .errors import DataError
 
-GLOVE_DIM = 300
-
 _TOKEN_SPLIT = re.compile(r"[\s_\-]+")
 
 
@@ -54,7 +52,7 @@ def load_word_vectors(path, case_fold: bool = True) -> WordVectorStore:
     dim = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
+            parts = line.rstrip().split(" ")
             if len(parts) < 2:
                 raise DataError(f"line {line_no}: expected 'token v1 ... vD'")
             token = parts[0]

@@ -42,19 +42,20 @@ def loss_dis(p_hat: Tensor, p: np.ndarray) -> Tensor:
     return -ad.tmean(ad.tsum(per_entry, axis=1))
 
 
-def loss_reg(indicators: dict[str, np.ndarray],
-             flat_thetas: dict[str, list[Tensor]]) -> Tensor:
+def loss_reg(indicators: dict[str, np.ndarray], grams: list[Tensor]) -> Tensor:
     """Semantic gap alignment over unordered pairs of training targets.
 
     For every pair, the squared difference between the indicators' cosine and
     the flattened filter parameters' cosine, summed over filter layers.
+    `grams[l]` holds layer l's filter inner products <theta_a, theta_b> with
+    rows and columns in sorted-name order (see `hyperfilter.filter_gram`).
     """
     names = sorted(indicators)
-    if len(names) < 2:
+    n = len(names)
+    if n < 2:
         raise ConfigError("gap alignment needs at least two training targets")
-    if set(flat_thetas) != set(names):
-        raise DimensionError("gap alignment: indicator/theta name sets differ")
-    depth = len(flat_thetas[names[0]])
+    if any(g.data.shape != (n, n) for g in grams):
+        raise DimensionError(f"gap alignment: every Gram matrix must be ({n}, {n})")
 
     def unit(vec: np.ndarray, what: str) -> np.ndarray:
         norm = np.linalg.norm(vec)
@@ -62,22 +63,19 @@ def loss_reg(indicators: dict[str, np.ndarray],
             raise GraphError(f"degenerate cosine: zero-norm {what}")
         return vec / norm
 
-    units = {n: unit(indicators[n], f"indicator '{n}'") for n in names}
-
-    def theta_cos(a: Tensor, b: Tensor) -> Tensor:
-        na = ad.sqrt(ad.tsum(a * a))
-        nb = ad.sqrt(ad.tsum(b * b))
-        if na.item() == 0.0 or nb.item() == 0.0:
-            raise GraphError("degenerate cosine: zero-norm filter parameters")
-        return ad.tsum(a * b) / (na * nb)
+    units = np.stack([unit(indicators[t], f"indicator '{t}'") for t in names])
+    ind_cos = units @ units.T
+    pairs = np.triu(np.ones((n, n)), k=1)
+    eye = np.eye(n)
 
     total = ad.constant(0.0)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            ind_cos = float(units[a] @ units[b])
-            for layer in range(depth):
-                gap = theta_cos(flat_thetas[a][layer], flat_thetas[b][layer]) - ind_cos
-                total = total + gap * gap
+    for gram in grams:
+        sq_norms = ad.tsum(gram * eye, axis=1)
+        if np.any(sq_norms.data == 0.0):
+            raise GraphError("degenerate cosine: zero-norm filter parameters")
+        cos = gram / ad.sqrt(ad.reshape(sq_norms, (n, 1)) * ad.reshape(sq_norms, (1, n)))
+        gap = cos - ind_cos
+        total = total + ad.tsum(gap * gap * pairs)
     return total
 
 

@@ -20,7 +20,8 @@ from . import hyperfilter as hf
 from . import objectives as obj
 from .autodiff import AdamState, ParamGroup, Tensor
 from .data import CorpusSplit, PostRecord
-from .embeddings import EncoderAdapter, WordVectorStore, build_indicator
+from .embeddings import (EncoderAdapter, WordVectorStore, build_indicator,
+                         encode_posts)
 from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
                      GraphError)
 from .heads import ClassifierHead, DiscriminatorHead
@@ -109,32 +110,19 @@ class Model:
 
     def filter_batch(self, records: list[PostRecord],
                      indicators: dict[str, np.ndarray] | None = None
-                     ) -> tuple[Tensor, Tensor, np.ndarray]:
+                     ) -> tuple[Tensor, Tensor, list[hf.LowRankFactors]]:
         """Encode, then filter each post with its target-set ensemble.
 
-        Returns (unfiltered s, filtered s_tilde, permutation) where both
-        tensors hold rows in `permutation` order relative to `records`.
+        Filters are generated once for every target in `indicators` (default:
+        the seen targets). Returns (unfiltered s, filtered s_tilde, factors),
+        rows in `records` order; the factors cover the targets in sorted-name
+        order, as the gap-alignment loss expects.
         """
-        from .embeddings import encode_posts
-
         indicators = indicators if indicators is not None else self.indicators
+        factors, mix = hf.ensemble_params(self.hyper, indicators,
+                                          [r.target_set for r in records])
         s = encode_posts(records, self.adapter)
-        by_set: dict[frozenset, list[int]] = {}
-        for i, record in enumerate(records):
-            by_set.setdefault(record.target_set, []).append(i)
-        cache: dict[str, list[Tensor]] = {}
-        perm: list[int] = []
-        filtered = []
-        for tset in sorted(by_set, key=sorted):
-            idx = by_set[tset]
-            subset = {t: indicators[t] for t in tset}
-            thetas = hf.ensemble_params(self.hyper, subset, cache=cache)
-            filtered.append(hf.apply_filter(ad.take_rows(s, idx), thetas))
-            perm.extend(idx)
-        perm_arr = np.asarray(perm, dtype=np.intp)
-        s_perm = ad.take_rows(s, perm_arr)
-        s_tilde = ad.concat_rows(filtered)
-        return s_perm, s_tilde, perm_arr
+        return s, hf.apply_filter(s, factors, mix), factors
 
     def predict(self, records: list[PostRecord],
                 indicators: dict[str, np.ndarray]) -> np.ndarray:
@@ -142,9 +130,10 @@ class Model:
         scores = np.empty(len(records))
         for start in range(0, len(records), self.config.batch_size):
             chunk = records[start:start + self.config.batch_size]
-            _, s_tilde, perm = self.filter_batch(chunk, indicators)
+            used = {t: indicators[t] for r in chunk for t in r.targets}
+            _, s_tilde, _ = self.filter_batch(chunk, used)
             y_hat = self.classifier.forward(s_tilde).data.reshape(-1)
-            scores[start + perm] = y_hat
+            scores[start:start + len(chunk)] = y_hat
         return scores
 
 
@@ -215,10 +204,9 @@ def phase_discriminator(state: TrainState, records: list[PostRecord],
     for epoch in range(epochs):
         epoch_losses = []
         for batch in _minibatches(records, model.config.batch_size, rng):
-            _, s_tilde, perm = model.filter_batch(batch)
+            _, s_tilde, _ = model.filter_batch(batch)
             p_hat = model.discriminator.forward(s_tilde)
-            p = model.multi_hot([batch[i] for i in perm])
-            l_dis = obj.loss_dis(p_hat, p)
+            l_dis = obj.loss_dis(p_hat, model.multi_hot(batch))
             _guard_finite(l_dis.item(), "discriminator loss", batch)
             ad.backward(l_dis)
             ad.adam_step(model.discriminator.group, state.adam["dis"])
@@ -241,21 +229,17 @@ def phase_filter(state: TrainState, records: list[PostRecord],
     for epoch in range(epochs):
         epoch_bundles = []
         for batch in _minibatches(records, cfg.batch_size, rng):
-            s, s_tilde, perm = model.filter_batch(batch)
-            ordered = [batch[i] for i in perm]
-            y = np.asarray([r.label for r in ordered])
+            s, s_tilde, factors = model.filter_batch(batch)
+            y = np.asarray([r.label for r in batch])
             y_hat = model.classifier.forward(s_tilde)
             y_hat_prime = model.classifier.forward(s)
             p_hat = model.discriminator.forward(s_tilde)
 
             l_hate = obj.loss_hate(y_hat, y)
-            l_dis = obj.loss_dis(p_hat, model.multi_hot(ordered))
+            l_dis = obj.loss_dis(p_hat, model.multi_hot(batch))
             l_imi = obj.loss_imi(y_hat, y_hat_prime)
             if cfg.mu > 0 and len(model.seen_targets) >= 2:
-                flat = {t: hf.flatten_theta(hf.target_theta(model.hyper,
-                                                            model.indicators[t]))
-                        for t in model.seen_targets}
-                l_reg = obj.loss_reg(model.indicators, flat)
+                l_reg = obj.loss_reg(model.indicators, hf.filter_gram(factors))
             else:
                 l_reg = ad.constant(0.0)
             combined = obj.synergic(l_hate, l_dis, l_reg, l_imi,

@@ -50,18 +50,15 @@ def build_case(seed: int, d: int = 16, rank: int = 2, depth: int = 2,
 
 def eval_losses(model: Model, records, lam=0.9, gamma=3.0, mu=0.9) -> dict:
     """All five loss tensors for one forward pass."""
-    s, s_tilde, perm = model.filter_batch(records)
-    ordered = [records[i] for i in perm]
-    y = np.asarray([r.label for r in ordered])
+    s, s_tilde, factors = model.filter_batch(records)
+    y = np.asarray([r.label for r in records])
     y_hat = model.classifier.forward(s_tilde)
     y_hat_prime = model.classifier.forward(s)
     p_hat = model.discriminator.forward(s_tilde)
     l_hate = obj.loss_hate(y_hat, y)
-    l_dis = obj.loss_dis(p_hat, model.multi_hot(ordered))
+    l_dis = obj.loss_dis(p_hat, model.multi_hot(records))
     l_imi = obj.loss_imi(y_hat, y_hat_prime)
-    flat = {t: hf.flatten_theta(hf.target_theta(model.hyper, model.indicators[t]))
-            for t in model.seen_targets}
-    l_reg = obj.loss_reg(model.indicators, flat)
+    l_reg = obj.loss_reg(model.indicators, hf.filter_gram(factors))
     combined = obj.synergic(l_hate, l_dis, l_reg, l_imi, lam, gamma, mu)
     return dict(zip(LOSS_NAMES, (l_hate, l_dis, l_reg, l_imi, combined)))
 

@@ -111,23 +111,30 @@ def test_ensemble_laws(announce):
     hyper = hf.HyperFilter(d=10, rank=2, depth=2, indicator_dim=5, rng=rng,
                            hidden=8)
     inds = {f"t{i}": rng.normal(size=5) for i in range(4)}
+    s = ad.constant(rng.normal(size=(6, 10)))
 
-    forward = hf.ensemble_params(hyper, inds)
+    def filtered(table, target_sets):
+        factors, mix = hf.ensemble_params(hyper, table, target_sets)
+        return hf.apply_filter(s, factors, mix).data
+
+    sets = [{"t0", "t2"}, {"t1"}, set(inds), {"t3", "t1"}, {"t0"}, {"t2", "t3"}]
+    forward = filtered(inds, sets)
     shuffled = {k: inds[k] for k in reversed(list(inds))}
-    backward = hf.ensemble_params(hyper, shuffled)
-    for a, b in zip(forward, backward):
-        np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-15)
+    backward = filtered(shuffled, sets)
+    np.testing.assert_allclose(forward, backward, rtol=0, atol=1e-15)
 
     # duplicate indicator content under a second name changes nothing
-    single = hf.ensemble_params(hyper, {"t0": inds["t0"]})
-    doubled = hf.ensemble_params(hyper, {"t0": inds["t0"],
-                                         "alias": inds["t0"].copy()})
-    for a, b in zip(single, doubled):
-        np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-15)
+    single = filtered({"t0": inds["t0"]}, [{"t0"}] * 6)
+    doubled = filtered({"t0": inds["t0"], "alias": inds["t0"].copy()},
+                       [{"t0", "alias"}] * 6)
+    np.testing.assert_allclose(single, doubled, rtol=0, atol=1e-15)
 
-    solo = hf.target_theta(hyper, inds["t0"])
-    for a, b in zip(single, solo):
-        assert np.array_equal(a.data, b.data)
+    # a singleton set is filtered by its own target's filter, exactly, also
+    # when the table holds other targets
+    solo = hf.apply_filter(s, hf.target_theta(hyper, inds["t0"].reshape(1, -1)),
+                           np.ones((6, 1))).data
+    assert np.array_equal(single, solo)
+    assert np.array_equal(filtered(inds, [{"t0"}] * 6), solo)
     announce("[4/9] ensemble laws: PASS "
              "(permutation/duplicate to 1e-15, singleton exact)")
 
@@ -261,10 +268,11 @@ def test_alignment_only_training(announce):
                            hidden=16)
     adam = ad.AdamState(lr=1e-2)
 
+    names = sorted(indicators)
+    stacked = np.stack([indicators[t] for t in names])
+
     def current_loss():
-        flat = {t: hf.flatten_theta(hf.target_theta(hyper, v))
-                for t, v in indicators.items()}
-        return obj.loss_reg(indicators, flat)
+        return obj.loss_reg(indicators, hf.filter_gram(hf.target_theta(hyper, stacked)))
 
     initial = current_loss().item()
     for _ in range(2000):
@@ -277,14 +285,12 @@ def test_alignment_only_training(announce):
     def cos(a, b):
         return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
 
-    names = sorted(indicators)
+    flat = hf.assemble_theta(hf.target_theta(hyper, stacked)[0]).data.reshape(
+        len(names), -1)
     worst = 0.0
     for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            theta_a = hf.flatten_theta(hf.target_theta(hyper, indicators[a]))
-            theta_b = hf.flatten_theta(hf.target_theta(hyper, indicators[b]))
-            gap = abs(cos(theta_a[0].data, theta_b[0].data)
-                      - cos(indicators[a], indicators[b]))
+        for j, b in enumerate(names[i + 1:], start=i + 1):
+            gap = abs(cos(flat[i], flat[j]) - cos(indicators[a], indicators[b]))
             worst = max(worst, gap)
     assert worst < 0.05
     announce(f"[8/9] alignment-only training: PASS "

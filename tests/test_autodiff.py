@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from fairfilter import autodiff as ad
 from fairfilter.autodiff import AdamState, ParamGroup, Tensor
@@ -98,13 +101,14 @@ class TestBackward:
         lambda a, b: ad.sigmoid(a) * b,
         lambda a, b: ad.log(a * a + 1.0) + b,
         lambda a, b: ad.sqrt(a * a + 0.5) * b,
-        lambda a, b: ad.transpose(a) + ad.transpose(b),
+        lambda a, b: ad.einsum("ij->ji", a) + ad.einsum("ij->ji", b),
         lambda a, b: ad.reshape(a, (1, 9)) + ad.reshape(b, (1, 9)),
         lambda a, b: a[1:, :] * b[:2, :],
-        lambda a, b: ad.take_rows(a, [2, 0, 0]) + b,
-        lambda a, b: ad.concat_rows([a, b]),
+        lambda a, b: a[[2, 0, 0]] + b,
+        lambda a, b: ad.einsum("ij,kl->ik", a, b),
         lambda a, b: ad.tmean(a, axis=0) + ad.tsum(b, axis=1),
         lambda a, b: ad.clip(a, -0.5, 0.5) * b,
+        lambda a, b: ad.einsum("ij,jk,ki->i", a, b, a),
     ])
     def test_op_grads_match_finite_differences(self, op):
         rng = np.random.default_rng(7)
@@ -126,6 +130,32 @@ class TestBackward:
             expected = fd_scalar(fn, t.data.copy())
             got = t.grad if t.grad is not None else np.zeros_like(t.data)
             np.testing.assert_allclose(got, expected, rtol=1e-6, atol=1e-8)
+
+    def test_einsum_rejects_malformed_subscripts(self):
+        a = Tensor(np.zeros((2, 3)))
+        with pytest.raises(GraphError):
+            ad.einsum("ij", a)
+        with pytest.raises(GraphError):
+            ad.einsum("...j->j", a)
+        with pytest.raises(DimensionError):
+            ad.einsum("ii->i", Tensor(np.zeros((2, 2))))
+        with pytest.raises(DimensionError):
+            ad.einsum("ijk->i", a)
+        with pytest.raises(DimensionError):
+            ad.einsum("ij,jk->ik", a)
+
+    def test_sigmoid_is_finite_and_exact_at_extreme_logits(self):
+        x0 = np.asarray([-800.0, -30.0, -1.0, 0.0, 1.0, 30.0, 800.0])
+        x = Tensor(x0.copy(), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = ad.sigmoid(x)
+            ad.backward(ad.tsum(out))
+        assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(x.grad))
+        np.testing.assert_allclose(out.data, expit(x0), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(x.grad, expit(x0) * expit(-x0), rtol=1e-14, atol=0)
+        assert out.data[0] == 0.0 and out.data[-1] == 1.0
+        assert x.grad[0] == x.grad[-1] == 0.0
 
     def test_diamond_graph_accumulates_once_per_path(self):
         x = Tensor(np.asarray(3.0), requires_grad=True)

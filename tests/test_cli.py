@@ -125,6 +125,26 @@ class TestTrain:
                                    "-o", str(tmp_path / "r")])
         assert res.exit_code == 3
 
+    def test_boolean_label_exits_3(self, workspace, runner, tmp_path):
+        bad = tmp_path / "bool.jsonl"
+        bad.write_text('{"id": "p0", "targets": ["alpha"], "label": true, '
+                       '"embedding": [0.1, 0.2]}\n')
+        res = runner.invoke(main, ["train", str(workspace / "train.cfg"),
+                                   str(bad), str(workspace / "vectors.txt"),
+                                   "-o", str(tmp_path / "r")])
+        assert res.exit_code == 3
+        assert "label must be 0 or 1" in res.stderr
+
+    def test_vectors_with_trailing_whitespace_accepted(self, workspace, runner,
+                                                       tmp_path):
+        padded = tmp_path / "padded.txt"
+        lines = (workspace / "vectors.txt").read_text().splitlines()
+        padded.write_text("".join(line + " \t\n" for line in lines))
+        res = runner.invoke(main, ["train", str(workspace / "train.cfg"),
+                                   str(workspace / "corpus.jsonl"), str(padded),
+                                   "-o", str(tmp_path / "r")])
+        assert res.exit_code == 0, res.output
+
     def test_bad_config_exits_2(self, workspace, runner, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("train.lambda = -1\nsplit.unseen_targets = gamma\n")
@@ -255,7 +275,8 @@ class TestExportFilters:
         th_cos = cos(np.asarray(thetas["alpha"][0].data),
                      np.asarray(thetas["beta"][0].data))
         expected = (th_cos - ind_cos) ** 2
-        got = loss_reg(indicators, thetas).item()
+        flat = np.stack([thetas[name][0].data for name in sorted(thetas)])
+        got = loss_reg(indicators, [ad.constant(flat @ flat.T)]).item()
         assert got == pytest.approx(expected, rel=1e-9)
 
     def test_unknown_target_exits_3(self, workspace, runner):

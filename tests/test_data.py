@@ -50,6 +50,13 @@ class TestLoadJsonl:
         with pytest.raises(DataError, match="duplicate id"):
             load_jsonl(p)
 
+    def test_boolean_label_rejected(self, tmp_path):
+        # True == 1 in Python, so a JSON boolean would otherwise pass as a label
+        p = tmp_path / "c.jsonl"
+        write_lines(p, ['{"id":"a","embedding":[0.1],"targets":["x"],"label":true}'])
+        with pytest.raises(DataError, match="line 1: .*label must be 0 or 1"):
+            load_jsonl(p)
+
     def test_missing_text_and_embedding_rejected(self, tmp_path):
         p = tmp_path / "c.jsonl"
         write_lines(p, ['{"id":"a","targets":["x"],"label":0}'])

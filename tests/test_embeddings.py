@@ -37,6 +37,13 @@ class TestLoadWordVectors:
         with pytest.raises(DataError, match="line 1"):
             emb.load_word_vectors(p)
 
+    def test_trailing_whitespace_accepted(self, tmp_path):
+        p = tmp_path / "v.txt"
+        write_vectors(p, ["cat 0.1 0.2 ", "dog -1.0 0.0\t", "owl 3.0 4.0 \r"])
+        store = emb.load_word_vectors(p)
+        assert store.dim == 2
+        np.testing.assert_allclose(store.lookup("owl"), [3.0, 4.0])
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "v.txt"
         p.write_text("")

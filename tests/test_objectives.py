@@ -80,43 +80,59 @@ class TestLossImi:
         assert obj.loss_imi(a, b).item() >= 0.0
 
 
+def grams(flat_thetas):
+    """Per-layer Gram matrices of flattened filter parameters, names sorted."""
+    names = sorted(flat_thetas)
+    out = []
+    for layer in range(len(flat_thetas[names[0]])):
+        rows = np.stack([np.asarray(flat_thetas[n][layer], dtype=np.float64)
+                         for n in names])
+        out.append(tensor(rows @ rows.T))
+    return out
+
+
 class TestLossReg:
     def test_zero_when_cosines_agree(self):
         indicators = {"a": np.asarray([1.0, 0.0]), "b": np.asarray([0.0, 1.0])}
         # orthogonal flattened parameters match the orthogonal indicators
-        thetas = {"a": [tensor([1.0, 0.0, 0.0])], "b": [tensor([0.0, 2.0, 0.0])]}
-        assert obj.loss_reg(indicators, thetas).item() == pytest.approx(0.0, abs=1e-12)
+        thetas = {"a": [[1.0, 0.0, 0.0]], "b": [[0.0, 2.0, 0.0]]}
+        assert obj.loss_reg(indicators, grams(thetas)).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_gap_per_layer_and_pair(self):
         # indicator cosine 0, parameter cosine 1: each pair-layer adds 1
         indicators = {"a": np.asarray([1.0, 0.0]), "b": np.asarray([0.0, 1.0]),
                       "c": np.asarray([1.0, 0.0])}
-        same = [tensor([1.0, 1.0]), tensor([2.0, 0.0])]
+        same = [[1.0, 1.0], [2.0, 0.0]]
         thetas = {k: same for k in indicators}
         # pairs (a,b) and (b,c) have indicator cos 0; (a,c) has cos 1
         expected = 2 * 2 * 1.0
-        assert obj.loss_reg(indicators, thetas).item() == pytest.approx(expected, abs=1e-12)
+        assert obj.loss_reg(indicators, grams(thetas)).item() == pytest.approx(expected, abs=1e-12)
 
     def test_scale_invariance_of_the_cosine(self):
         indicators = {"a": np.asarray([1.0, 1.0]), "b": np.asarray([1.0, -1.0])}
-        base = {"a": [tensor([0.3, 0.4])], "b": [tensor([-0.8, 0.1])]}
+        base = {"a": [np.asarray([0.3, 0.4])], "b": [np.asarray([-0.8, 0.1])]}
         scaled = {"a": [base["a"][0] * 7.0], "b": [base["b"][0] * 0.01]}
-        assert obj.loss_reg(indicators, base).item() == pytest.approx(
-            obj.loss_reg(indicators, scaled).item(), abs=1e-12)
+        assert obj.loss_reg(indicators, grams(base)).item() == pytest.approx(
+            obj.loss_reg(indicators, grams(scaled)).item(), abs=1e-12)
 
     def test_single_target_rejected(self):
         with pytest.raises(ConfigError):
-            obj.loss_reg({"a": np.ones(2)}, {"a": [tensor([1.0])]})
+            obj.loss_reg({"a": np.ones(2)}, grams({"a": [[1.0]]}))
 
     def test_zero_norm_is_flagged(self):
         indicators = {"a": np.asarray([1.0, 0.0]), "b": np.asarray([0.0, 0.0])}
-        thetas = {"a": [tensor([1.0])], "b": [tensor([1.0])]}
+        thetas = {"a": [[1.0]], "b": [[1.0]]}
         with pytest.raises(GraphError, match="degenerate"):
-            obj.loss_reg(indicators, thetas)
+            obj.loss_reg(indicators, grams(thetas))
         indicators["b"] = np.asarray([0.0, 1.0])
-        thetas["b"] = [tensor([0.0])]
+        thetas["b"] = [[0.0]]
         with pytest.raises(GraphError, match="degenerate"):
-            obj.loss_reg(indicators, thetas)
+            obj.loss_reg(indicators, grams(thetas))
+
+    def test_gram_shape_must_match_the_target_count(self):
+        indicators = {"a": np.asarray([1.0, 0.0]), "b": np.asarray([0.0, 1.0])}
+        with pytest.raises(DimensionError):
+            obj.loss_reg(indicators, [tensor(np.eye(3))])
 
 
 class TestSynergic:

@@ -73,12 +73,32 @@ class TestModel:
             Model(tiny_config(), d_in=4, indicator_dim=3,
                   seen_targets=["a", "ghost"], indicators=tiny_indicators(("a",)))
 
-    def test_filter_batch_permutation_covers_all_rows(self):
+    def test_filter_batch_keeps_input_order(self):
         model = tiny_model()
         records = tiny_records(10)
-        s, s_tilde, perm = model.filter_batch(records)
-        assert sorted(perm.tolist()) == list(range(10))
+        s, s_tilde, _ = model.filter_batch(records)
         assert s.data.shape == s_tilde.data.shape == (10, 8)
+        for i, record in enumerate(records):
+            s_one, s_tilde_one, _ = model.filter_batch([record])
+            np.testing.assert_allclose(s.data[i], s_one.data[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(s_tilde.data[i], s_tilde_one.data[0],
+                                       rtol=0, atol=1e-12)
+
+    def test_filter_batch_builds_no_dense_filter(self):
+        d = 64
+        model = tiny_model(tiny_config(hidden_dim=d, depth=2, rank=2),
+                           targets=("a", "b", "c"))
+        _, s_tilde, _ = model.filter_batch(tiny_records(12, targets=("a", "b", "c")))
+        seen, stack, shapes = set(), [s_tilde], []
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            shapes.append(node.data.shape)
+            stack.extend(node._parents)
+        assert len(shapes) > 10
+        assert not [sh for sh in shapes if sh[-2:] == (d, d + 1)]
 
     def test_same_target_set_rows_share_a_filter(self):
         # identical embeddings with identical target sets must map identically
