@@ -1,8 +1,8 @@
 """Dense float64 tensors with a small reverse-mode tape and an Adam optimizer.
 
 The tape covers exactly the operations the rest of the package needs
-(matmul, einsum, broadcasting arithmetic, ReLU/sigmoid/log/sqrt, reductions,
-indexing, reshape). Graphs are rebuilt every step, so freeze
+(matmul, einsum, broadcasting arithmetic, ReLU/sigmoid/softplus/sqrt,
+reductions, indexing, reshape). Graphs are rebuilt every step, so freeze
 state is captured at construction time of each node.
 """
 
@@ -170,11 +170,16 @@ def sigmoid(a: Tensor) -> Tensor:
     return Tensor(out, _parents=(a,), _backward=bwd)
 
 
-def log(a: Tensor) -> Tensor:
-    def bwd(g, a=a):
-        _acc(a, g / a.data)
+def softplus(a: Tensor) -> Tensor:
+    """log(1 + e^x) as max(x, 0) + log1p(e^-|x|), which never overflows; its
+    slope is the logistic function."""
+    e = np.exp(-np.abs(a.data))
+    slope = np.where(a.data >= 0, 1.0, e) / (1.0 + e)
 
-    return Tensor(np.log(a.data), _parents=(a,), _backward=bwd)
+    def bwd(g, a=a, slope=slope):
+        _acc(a, g * slope)
+
+    return Tensor(np.maximum(a.data, 0.0) + np.log1p(e), _parents=(a,), _backward=bwd)
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -184,16 +189,6 @@ def sqrt(a: Tensor) -> Tensor:
         _acc(a, g * 0.5 / out)
 
     return Tensor(out, _parents=(a,), _backward=bwd)
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values; gradient passes through only where not clamped."""
-    mask = (a.data >= lo) & (a.data <= hi)
-
-    def bwd(g, a=a, mask=mask):
-        _acc(a, g * mask)
-
-    return Tensor(np.clip(a.data, lo, hi), _parents=(a,), _backward=bwd)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -422,11 +417,9 @@ def init_mlp(name: str, dims: list[int], rng: np.random.Generator) -> ParamGroup
     return group
 
 
-def mlp_forward(x: Tensor, layers: ParamGroup, activation: str = "relu",
-                final_activation: str = "identity") -> Tensor:
-    """Apply an MLP stored as W0/b0..W{L-1}/b{L-1}; x is (n, d_in) or (d_in,)."""
-    if activation not in ("relu", "identity"):
-        raise GraphError(f"unknown activation '{activation}'")
+def mlp_forward(x: Tensor, layers: ParamGroup) -> Tensor:
+    """Apply an MLP stored as W0/b0..W{L-1}/b{L-1}, with ReLU between layers
+    and an affine readout; x is (n, d_in) or (d_in,)."""
     n_layers = sum(1 for k in layers.tensors if k.startswith("W"))
     if n_layers == 0:
         raise DimensionError(f"group '{layers.name}' holds no layers")
@@ -441,8 +434,7 @@ def mlp_forward(x: Tensor, layers: ParamGroup, activation: str = "relu",
                 f"mlp_forward: layer {i} of '{layers.name}' expects input dim "
                 f"{w.data.shape[0]}, got {h.data.shape[1]}")
         h = matmul(h, w) + b
-        act = activation if i < n_layers - 1 else final_activation
-        if act == "relu":
+        if i < n_layers - 1:
             h = relu(h)
     if squeeze:
         h = reshape(h, (-1,))

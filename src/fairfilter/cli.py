@@ -25,8 +25,8 @@ from .data import (load_jsonl, make_split, save_jsonl, synth_generate,
 from .embeddings import build_indicator, load_word_vectors, save_word_vectors, tokenize_target
 from .errors import ConfigError, DataError, FairFilterError
 from .metrics import build_report
-from .trainer import (checkpoint_load, checkpoint_save, eval_indicators, fit,
-                      write_telemetry)
+from .trainer import (check_vector_width, checkpoint_load, checkpoint_save,
+                      eval_indicators, fit, write_telemetry)
 
 
 def _sha256(path) -> str:
@@ -242,6 +242,7 @@ def export_filters(checkpoint, vectors, targets, out):
     """
     model = checkpoint_load(checkpoint)
     store = load_word_vectors(vectors)
+    check_vector_width(model, store)
     entries = []
     for name in targets:
         if name in model.indicators:

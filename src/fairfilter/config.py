@@ -7,8 +7,6 @@ corpus specs (synth.*).
 
 from __future__ import annotations
 
-import numpy as np
-
 from .data import SplitSpec, SyntheticSpec
 from .errors import ConfigError
 from .trainer import TrainConfig

@@ -144,9 +144,13 @@ def _parse_record(obj: dict, line_no: int) -> PostRecord:
 
 
 def load_jsonl(path) -> list[PostRecord]:
-    """Parse and validate a JSONL corpus; any bad line aborts the whole load."""
+    """Parse and validate a JSONL corpus; any bad line aborts the whole load.
+
+    Every embedding in one corpus must have the same number of entries.
+    """
     records: list[PostRecord] = []
     seen_ids: set[str] = set()
+    width: int | None = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -159,6 +163,12 @@ def load_jsonl(path) -> list[PostRecord]:
             record = _parse_record(obj, line_no)
             if record.id in seen_ids:
                 raise DataError(f"line {line_no}: duplicate id '{record.id}'")
+            if record.embedding is not None:
+                if width is None:
+                    width = len(record.embedding)
+                elif len(record.embedding) != width:
+                    raise DataError(f"line {line_no}: embedding has "
+                                    f"{len(record.embedding)} entries, expected {width}")
             seen_ids.add(record.id)
             records.append(record)
     return records

@@ -8,7 +8,7 @@ makes zero-shot filters for unseen targets possible.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,6 +1,7 @@
 """The two prediction heads: multi-label target discriminator and binary
-hate-speech classifier. Both are 3-affine-layer MLPs with sigmoid readouts;
-outputs are clamped away from 0/1 so downstream log losses stay finite.
+hate-speech classifier. Both are 3-affine-layer MLPs that return logits; the
+losses take logits directly (binary cross-entropy with logits), and
+`ad.sigmoid` turns a logit into a probability where one is needed.
 """
 
 from __future__ import annotations
@@ -11,15 +12,9 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DimensionError
 
-PROB_FLOOR = 1e-7
-
-
-def _clamped_sigmoid(logits: Tensor) -> Tensor:
-    return ad.clip(ad.sigmoid(logits), PROB_FLOOR, 1.0 - PROB_FLOOR)
-
 
 class DiscriminatorHead:
-    """Maps a (filtered) post embedding to independent per-target probabilities.
+    """Maps a (filtered) post embedding to independent per-target logits.
 
     The output arity is fixed at construction to the seen-target count; the
     entries are individual binary scores, not a normalized distribution.
@@ -35,11 +30,11 @@ class DiscriminatorHead:
     def forward(self, s: Tensor) -> Tensor:
         if s.data.ndim != 2 or s.data.shape[1] != self.d:
             raise DimensionError(f"discriminator expects (n, {self.d}), got {s.shape}")
-        return _clamped_sigmoid(ad.mlp_forward(s, self.group))
+        return ad.mlp_forward(s, self.group)
 
 
 class ClassifierHead:
-    """Maps a post embedding to a single hatefulness probability.
+    """Maps a post embedding to a single hatefulness logit.
 
     The same head object scores both filtered and unfiltered embeddings; the
     imitation loss depends on them sharing parameters.
@@ -52,7 +47,7 @@ class ClassifierHead:
     def forward(self, s: Tensor) -> Tensor:
         if s.data.ndim != 2 or s.data.shape[1] != self.d:
             raise DimensionError(f"classifier expects (n, {self.d}), got {s.shape}")
-        return _clamped_sigmoid(ad.mlp_forward(s, self.group))
+        return ad.mlp_forward(s, self.group)
 
 
 def decide(scores: np.ndarray, threshold: float = 0.5) -> np.ndarray:

@@ -7,8 +7,6 @@ target pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -16,30 +14,19 @@ from .autodiff import Tensor
 from .errors import ConfigError, DimensionError, GraphError
 
 
-@dataclass
-class LossBundle:
-    """Scalar values of one step's loss terms, for telemetry."""
+def loss_dis(logits: Tensor, p: np.ndarray) -> Tensor:
+    """Binary cross-entropy with logits of the target discriminator.
 
-    l_hate: float
-    l_dis: float
-    l_reg: float
-    l_imi: float
-    synergic: float
-
-
-def loss_dis(p_hat: Tensor, p: np.ndarray) -> Tensor:
-    """Point-wise log loss of the target discriminator.
-
-    Sum over target entries, mean over posts. p is the multi-hot ground
-    truth over the seen-target list.
+    Per entry softplus(z) - p*z, which is -log of the probability sigmoid(z)
+    gives the label; summed over target entries, mean over posts. p is the
+    multi-hot ground truth over the seen-target list.
     """
     p = np.asarray(p, dtype=np.float64)
-    if p_hat.data.shape != p.shape:
+    if logits.data.shape != p.shape:
         raise DimensionError(
-            f"discriminator loss: predictions {p_hat.shape} vs labels {p.shape}")
-    p_const = ad.constant(p)
-    per_entry = p_const * ad.log(p_hat) + (1.0 - p_const) * ad.log(1.0 - p_hat)
-    return -ad.tmean(ad.tsum(per_entry, axis=1))
+            f"discriminator loss: logits {logits.shape} vs labels {p.shape}")
+    per_entry = ad.softplus(logits) - ad.constant(p) * logits
+    return ad.tmean(ad.tsum(per_entry, axis=1))
 
 
 def loss_reg(indicators: dict[str, np.ndarray], grams: list[Tensor]) -> Tensor:
@@ -79,29 +66,29 @@ def loss_reg(indicators: dict[str, np.ndarray], grams: list[Tensor]) -> Tensor:
     return total
 
 
-def loss_hate(y_hat: Tensor, y: np.ndarray) -> Tensor:
-    """Binary cross-entropy of the hate classifier, mean over the batch."""
+def loss_hate(logits: Tensor, y: np.ndarray) -> Tensor:
+    """Binary cross-entropy with logits of the hate classifier: mean over the
+    batch of softplus(z) - y*z."""
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if y_hat.data.size != y.size:
-        raise DimensionError(f"hate loss: predictions {y_hat.shape} vs labels {y.shape}")
-    flat = ad.reshape(y_hat, (-1,))
-    y_const = ad.constant(y)
-    per_post = y_const * ad.log(flat) + (1.0 - y_const) * ad.log(1.0 - flat)
-    return -ad.tmean(per_post)
+    if logits.data.size != y.size:
+        raise DimensionError(f"hate loss: logits {logits.shape} vs labels {y.shape}")
+    z = ad.reshape(logits, (-1,))
+    return ad.tmean(ad.softplus(z) - ad.constant(y) * z)
 
 
-def loss_imi(y_hat: Tensor, y_hat_prime: Tensor) -> Tensor:
+def loss_imi(logits: Tensor, logits_prime: Tensor) -> Tensor:
     """Imitation loss: KL(filtered prediction || unfiltered prediction).
 
-    Both predictions must come from the same classifier head; mean over the
-    batch of the two-class KL divergence.
+    Both logits must come from the same classifier head. With z filtered and
+    z' unfiltered, the two-class KL(sigmoid(z) || sigmoid(z')) equals
+    softplus(z') - softplus(z) + sigmoid(z)*(z - z'); mean over the batch.
     """
-    if y_hat.data.shape != y_hat_prime.data.shape:
+    if logits.data.shape != logits_prime.data.shape:
         raise DimensionError(
-            f"imitation loss: shapes {y_hat.shape} vs {y_hat_prime.shape}")
-    a = ad.reshape(y_hat, (-1,))
-    b = ad.reshape(y_hat_prime, (-1,))
-    kl = a * (ad.log(a) - ad.log(b)) + (1.0 - a) * (ad.log(1.0 - a) - ad.log(1.0 - b))
+            f"imitation loss: shapes {logits.shape} vs {logits_prime.shape}")
+    z = ad.reshape(logits, (-1,))
+    z_prime = ad.reshape(logits_prime, (-1,))
+    kl = ad.softplus(z_prime) - ad.softplus(z) + ad.sigmoid(z) * (z - z_prime)
     return ad.tmean(kl)
 
 
@@ -116,9 +103,3 @@ def synergic(l_hate: Tensor, l_dis: Tensor, l_reg: Tensor, l_imi: Tensor,
         raise ConfigError("loss coefficients must be non-negative")
     return l_hate + mu * l_reg + gamma * l_imi - lam * l_dis
 
-
-def bundle(l_hate: Tensor, l_dis: Tensor, l_reg: Tensor, l_imi: Tensor,
-           combined: Tensor) -> LossBundle:
-    return LossBundle(l_hate=l_hate.item(), l_dis=l_dis.item(),
-                      l_reg=l_reg.item(), l_imi=l_imi.item(),
-                      synergic=combined.item())

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import zipfile
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -22,12 +24,13 @@ from .autodiff import AdamState, ParamGroup, Tensor
 from .data import CorpusSplit, PostRecord
 from .embeddings import (EncoderAdapter, WordVectorStore, build_indicator,
                          encode_posts)
-from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
-                     GraphError)
+from .errors import (CheckpointError, ConfigError, DataError, DimensionError,
+                     DivergenceError)
 from .heads import ClassifierHead, DiscriminatorHead
 from .metrics import build_report
 
 CHECKPOINT_VERSION = 1
+LOSS_KEYS = ("l_hate", "l_dis", "l_reg", "l_imi", "synergic")
 
 
 @dataclass
@@ -132,8 +135,8 @@ class Model:
             chunk = records[start:start + self.config.batch_size]
             used = {t: indicators[t] for r in chunk for t in r.targets}
             _, s_tilde, _ = self.filter_batch(chunk, used)
-            y_hat = self.classifier.forward(s_tilde).data.reshape(-1)
-            scores[start:start + len(chunk)] = y_hat
+            logits = self.classifier.forward(s_tilde)
+            scores[start:start + len(chunk)] = ad.sigmoid(logits).data.reshape(-1)
         return scores
 
 
@@ -158,31 +161,6 @@ def _minibatches(records: list[PostRecord], batch_size: int,
         yield [records[i] for i in order[start:start + batch_size]]
 
 
-def _set_phase(model: Model, phase: str) -> None:
-    groups = model.groups
-    if phase == "dis":
-        for name in ("enc", "hyper", "hate"):
-            groups[name].freeze()
-        groups["dis"].unfreeze()
-    elif phase == "filter":
-        groups["dis"].freeze()
-        for name in ("enc", "hyper", "hate"):
-            groups[name].unfreeze()
-    else:
-        raise GraphError(f"unknown phase '{phase}'")
-
-
-def _check_phase(model: Model, phase: str) -> None:
-    frozen = {name: g.frozen for name, g in model.groups.items()}
-    want_frozen = {"dis": ("enc", "hyper", "hate"), "filter": ("dis",)}[phase]
-    for name in want_frozen:
-        if not frozen[name]:
-            raise GraphError(f"phase '{phase}': group '{name}' must be frozen")
-    for name in frozen:
-        if name not in want_frozen and frozen[name]:
-            raise GraphError(f"phase '{phase}': group '{name}' must be unfrozen")
-
-
 def _batch_stats(records: list[PostRecord]) -> dict:
     embeddings = np.stack([r.embedding for r in records])
     return {"batch_size": len(records),
@@ -196,28 +174,35 @@ def _guard_finite(value: float, what: str, batch: list[PostRecord]) -> None:
             f"non-finite {what}; last batch: {json.dumps(_batch_stats(batch))}")
 
 
+def _epoch_means(rows: list[dict], keys: tuple[str, ...]) -> dict[str, float]:
+    return {k: float(np.mean([row[k] for row in rows])) for k in keys}
+
+
 def phase_discriminator(state: TrainState, records: list[PostRecord],
                         epochs: int, rng: np.random.Generator) -> None:
     """N epochs of discriminator-only minibatch updates (rest frozen)."""
     model = state.model
-    _check_phase(model, "dis")
+    for name, group in model.groups.items():
+        if name == "dis":
+            group.unfreeze()
+        else:
+            group.freeze()
     for epoch in range(epochs):
-        epoch_losses = []
+        first = len(state.telemetry)
         for batch in _minibatches(records, model.config.batch_size, rng):
             _, s_tilde, _ = model.filter_batch(batch)
-            p_hat = model.discriminator.forward(s_tilde)
-            l_dis = obj.loss_dis(p_hat, model.multi_hot(batch))
+            l_dis = obj.loss_dis(model.discriminator.forward(s_tilde),
+                                 model.multi_hot(batch))
             _guard_finite(l_dis.item(), "discriminator loss", batch)
             ad.backward(l_dis)
             ad.adam_step(model.discriminator.group, state.adam["dis"])
             state.global_step += 1
-            epoch_losses.append(l_dis.item())
             state.telemetry.append({
                 "step": state.global_step, "phase": "dis",
                 "l_hate": "", "l_dis": l_dis.item(), "l_reg": "", "l_imi": "",
                 "synergic": ""})
-        state.history.append({"round": state.round, "phase": "dis",
-                              "epoch": epoch, "l_dis": float(np.mean(epoch_losses))})
+        state.history.append({"round": state.round, "phase": "dis", "epoch": epoch,
+                              **_epoch_means(state.telemetry[first:], ("l_dis",))})
 
 
 def phase_filter(state: TrainState, records: list[PostRecord],
@@ -225,19 +210,22 @@ def phase_filter(state: TrainState, records: list[PostRecord],
     """N' epochs of synergic-loss updates on filter, classifier, and adapter."""
     model = state.model
     cfg = model.config
-    _check_phase(model, "filter")
+    for name, group in model.groups.items():
+        if name == "dis":
+            group.freeze()
+        else:
+            group.unfreeze()
     for epoch in range(epochs):
-        epoch_bundles = []
+        first = len(state.telemetry)
         for batch in _minibatches(records, cfg.batch_size, rng):
             s, s_tilde, factors = model.filter_batch(batch)
             y = np.asarray([r.label for r in batch])
-            y_hat = model.classifier.forward(s_tilde)
-            y_hat_prime = model.classifier.forward(s)
-            p_hat = model.discriminator.forward(s_tilde)
-
-            l_hate = obj.loss_hate(y_hat, y)
-            l_dis = obj.loss_dis(p_hat, model.multi_hot(batch))
-            l_imi = obj.loss_imi(y_hat, y_hat_prime)
+            z = model.classifier.forward(s_tilde)
+            z_prime = model.classifier.forward(s)
+            l_hate = obj.loss_hate(z, y)
+            l_dis = obj.loss_dis(model.discriminator.forward(s_tilde),
+                                 model.multi_hot(batch))
+            l_imi = obj.loss_imi(z, z_prime)
             if cfg.mu > 0 and len(model.seen_targets) >= 2:
                 l_reg = obj.loss_reg(model.indicators, hf.filter_gram(factors))
             else:
@@ -249,7 +237,6 @@ def phase_filter(state: TrainState, records: list[PostRecord],
             for name in ("enc", "hyper", "hate"):
                 ad.adam_step(model.groups[name], state.adam[name])
             state.global_step += 1
-            epoch_bundles.append(obj.bundle(l_hate, l_dis, l_reg, l_imi, combined))
             state.telemetry.append({
                 "step": state.global_step, "phase": "filter",
                 "l_hate": l_hate.item(), "l_dis": l_dis.item(),
@@ -257,11 +244,7 @@ def phase_filter(state: TrainState, records: list[PostRecord],
                 "synergic": combined.item()})
         state.history.append({
             "round": state.round, "phase": "filter", "epoch": epoch,
-            "l_hate": float(np.mean([b.l_hate for b in epoch_bundles])),
-            "l_dis": float(np.mean([b.l_dis for b in epoch_bundles])),
-            "l_reg": float(np.mean([b.l_reg for b in epoch_bundles])),
-            "l_imi": float(np.mean([b.l_imi for b in epoch_bundles])),
-            "synergic": float(np.mean([b.synergic for b in epoch_bundles]))})
+            **_epoch_means(state.telemetry[first:], LOSS_KEYS)})
 
 
 def _snapshot(model: Model) -> dict[str, dict[str, np.ndarray]]:
@@ -305,9 +288,7 @@ def fit(config: TrainConfig, split: CorpusSplit,
     rounds_since_best = 0
     for round_no in range(config.max_rounds):
         state.round = round_no
-        _set_phase(model, "dis")
         phase_discriminator(state, split.train, config.n_dis, rng)
-        _set_phase(model, "filter")
         phase_filter(state, split.train, config.n_filter, rng)
 
         if split.validation:
@@ -339,7 +320,7 @@ def fit(config: TrainConfig, split: CorpusSplit,
 
 
 def write_telemetry(state: TrainState, path) -> None:
-    fields = ["step", "phase", "l_hate", "l_dis", "l_reg", "l_imi", "synergic"]
+    fields = ["step", "phase", *LOSS_KEYS]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
@@ -363,35 +344,50 @@ def checkpoint_save(model: Model, path) -> None:
     }
     payload["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
     ordered = {k: payload[k] for k in sorted(payload)}
-    with open(path, "wb") as fh:
-        np.savez(fh, **ordered)
+    # written beside the target, then renamed over it, so a crash mid-write
+    # never leaves a truncated checkpoint under the final name
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **ordered)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def checkpoint_load(path) -> Model:
-    """Rebuild a Model from a checkpoint; predictions match the saved model."""
+    """Rebuild a Model from a checkpoint; predictions match the saved model.
+
+    Any unreadable, incomplete or inconsistent archive raises CheckpointError.
+    """
     try:
-        archive = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as exc:
-        raise CheckpointError(f"cannot read checkpoint '{path}': {exc}") from None
-    if "__meta__" not in archive:
-        raise CheckpointError(f"checkpoint '{path}' lacks a header")
-    meta = json.loads(str(archive["__meta__"]))
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {meta.get('version')} != {CHECKPOINT_VERSION}")
-    config = TrainConfig(**meta["config"])
-    indicators = {t: archive[f"indicator/{t}"] for t in meta["seen_targets"]}
-    model = Model(config, meta["d_in"], meta["indicator_dim"],
-                  meta["seen_targets"], indicators)
-    for gname, group in model.groups.items():
-        stored = {}
-        for tname, tensor in group.tensors.items():
-            key = f"param/{gname}/{tname}"
-            if key not in archive:
-                raise CheckpointError(f"checkpoint missing tensor '{key}'")
-            stored[tname] = archive[key]
-        group.load_state_dict(stored)
+        with np.load(path, allow_pickle=False) as archive:
+            if "__meta__" not in archive:
+                raise CheckpointError(f"checkpoint '{path}' lacks a header")
+            meta = json.loads(str(archive["__meta__"]))
+            if meta.get("version") != CHECKPOINT_VERSION:
+                raise CheckpointError(
+                    f"checkpoint version {meta.get('version')} != {CHECKPOINT_VERSION}")
+            config = TrainConfig(**meta["config"]).validate()
+            indicators = {t: archive[f"indicator/{t}"] for t in meta["seen_targets"]}
+            model = Model(config, meta["d_in"], meta["indicator_dim"],
+                          meta["seen_targets"], indicators)
+            for gname, group in model.groups.items():
+                keys = {k: f"param/{gname}/{k}" for k in group.tensors}
+                group.load_state_dict({k: archive[key] for k, key in keys.items()
+                                       if key in archive})
+    except (OSError, EOFError, zipfile.BadZipFile, AttributeError, KeyError,
+            TypeError, ValueError, ConfigError, DimensionError) as exc:
+        raise CheckpointError(f"cannot load checkpoint '{path}': "
+                              f"{type(exc).__name__}: {exc}") from None
     return model
+
+
+def check_vector_width(model: Model, store: WordVectorStore) -> None:
+    if store.dim != model.indicator_dim:
+        raise DataError(f"word vectors have {store.dim} entries, the checkpoint's "
+                        f"indicators {model.indicator_dim}")
 
 
 def eval_indicators(model: Model, records: list[PostRecord],
@@ -402,6 +398,8 @@ def eval_indicators(model: Model, records: list[PostRecord],
     Unresolvable targets (no word vectors) exclude their records; returns
     (indicators, usable records, warning messages).
     """
+    if store is not None:
+        check_vector_width(model, store)
     indicators = dict(model.indicators)
     warnings_out: list[str] = []
     bad_targets: set[str] = set()

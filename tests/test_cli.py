@@ -193,6 +193,86 @@ class TestEval:
         assert res.exit_code == 5
 
 
+def edit_checkpoint(ws, edit_meta=None, raw_meta=None):
+    """A copy of the trained checkpoint with its header edited or replaced."""
+    archive = dict(np.load(ws / "run" / "checkpoint.npz", allow_pickle=False))
+    meta = json.loads(str(archive["__meta__"]))
+    if edit_meta is not None:
+        edit_meta(meta)
+    archive["__meta__"] = np.array(raw_meta if raw_meta is not None else json.dumps(meta))
+    path = ws / "edited.npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, **archive)
+    return path
+
+
+def truncated_checkpoint(ws):
+    blob = (ws / "run" / "checkpoint.npz").read_bytes()
+    path = ws / "truncated.npz"
+    path.write_bytes(blob[:len(blob) // 2])
+    return path
+
+
+def mixed_width_corpus(ws):
+    lines = (ws / "corpus.jsonl").read_text().splitlines()
+    record = json.loads(lines[5])
+    record["embedding"] = record["embedding"][:-1]
+    lines[5] = json.dumps(record)
+    path = ws / "mixed.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def narrow_vectors(ws):
+    lines = (ws / "vectors.txt").read_text().splitlines()
+    path = ws / "narrow.txt"
+    path.write_text("".join(line.rsplit(" ", 1)[0] + "\n" for line in lines))
+    return path
+
+
+def eval_args(ws, checkpoint=None, corpus=None, vectors=None):
+    return ["eval", str(checkpoint or ws / "run" / "checkpoint.npz"),
+            str(corpus or ws / "corpus.jsonl"), str(vectors or ws / "vectors.txt"),
+            "-o", str(ws / "e")]
+
+
+MALFORMED_INPUTS = {
+    "train-mixed-embedding-widths": (3, lambda ws: [
+        "train", str(ws / "train.cfg"), str(mixed_width_corpus(ws)),
+        str(ws / "vectors.txt"), "-o", str(ws / "r")]),
+    "eval-mixed-embedding-widths": (3, lambda ws: eval_args(
+        ws, corpus=mixed_width_corpus(ws))),
+    "eval-vectors-narrower-than-indicators": (3, lambda ws: eval_args(
+        ws, vectors=narrow_vectors(ws))),
+    "export-vectors-narrower-than-indicators": (3, lambda ws: [
+        "export-filters", str(ws / "run" / "checkpoint.npz"),
+        str(narrow_vectors(ws)), "gamma", "-o", str(ws / "f.json")]),
+    "checkpoint-unknown-config-key": (5, lambda ws: eval_args(ws, checkpoint=edit_checkpoint(
+        ws, lambda meta: meta["config"].update(dropout=0.5)))),
+    "checkpoint-without-seen-targets": (5, lambda ws: eval_args(ws, checkpoint=edit_checkpoint(
+        ws, lambda meta: meta.pop("seen_targets")))),
+    "checkpoint-corrupt-meta": (5, lambda ws: eval_args(ws, checkpoint=edit_checkpoint(
+        ws, raw_meta="{not json"))),
+    "checkpoint-truncated": (5, lambda ws: eval_args(
+        ws, checkpoint=truncated_checkpoint(ws))),
+    "checkpoint-rank-0": (5, lambda ws: eval_args(ws, checkpoint=edit_checkpoint(
+        ws, lambda meta: meta["config"].update(rank=0)))),
+    "checkpoint-threshold-2": (5, lambda ws: eval_args(ws, checkpoint=edit_checkpoint(
+        ws, lambda meta: meta["config"].update(threshold=2.0)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exit_code(workspace, runner, case):
+    code, build_args = MALFORMED_INPUTS[case]
+    res = runner.invoke(main, build_args(workspace))
+    # an uncaught exception would leave res.exception set to it, not SystemExit
+    assert isinstance(res.exception, SystemExit), res.exc_info
+    assert res.exit_code == code, res.output
+    assert "Traceback" not in res.output
+    assert res.stderr.startswith(("error:", "I/O error:"))
+
+
 class TestMetricsReplay:
     def test_replayed_metrics_match_eval_report(self, workspace, runner):
         out = workspace / "eval"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fairfilter import data
-from fairfilter.data import (CorpusSplit, PostRecord, SplitSpec, SyntheticSpec,
-                             load_jsonl, make_split, save_jsonl, synth_directions,
+from fairfilter.data import (PostRecord, SplitSpec, SyntheticSpec, load_jsonl,
+                             make_split, save_jsonl, synth_directions,
                              synth_generate, synth_indicators)
 from fairfilter.errors import ConfigError, DataError
 

@@ -3,16 +3,31 @@ import pytest
 
 from fairfilter import autodiff as ad
 from fairfilter import heads
+from fairfilter import objectives as obj
 from fairfilter.errors import DimensionError
+
+
+def straight_line_logits(group, x):
+    """The head's MLP recomputed in plain numpy: ReLU hidden layers and an
+    affine readout with no squashing."""
+    h = x
+    for i in range(3):
+        h = h @ group.tensors[f"W{i}"].data + group.tensors[f"b{i}"].data
+        if i < 2:
+            h = np.maximum(h, 0.0)
+    return h
 
 
 class TestDiscriminatorHead:
     def test_output_shape_and_range(self):
         head = heads.DiscriminatorHead(6, 4, np.random.default_rng(0), hidden=8)
-        out = head.forward(ad.constant(np.random.default_rng(1).normal(size=(5, 6))))
+        x = np.random.default_rng(1).normal(size=(5, 6)) * 10.0
+        out = head.forward(ad.constant(x))
         assert out.data.shape == (5, 4)
-        assert np.all(out.data >= heads.PROB_FLOOR)
-        assert np.all(out.data <= 1.0 - heads.PROB_FLOOR)
+        # real-valued logits, not probabilities
+        np.testing.assert_allclose(out.data, straight_line_logits(head.group, x),
+                                   rtol=0, atol=1e-12)
+        assert np.any((out.data < 0.0) | (out.data > 1.0))
 
     def test_rows_are_independent_scores_not_a_distribution(self):
         head = heads.DiscriminatorHead(6, 4, np.random.default_rng(2), hidden=8)
@@ -20,14 +35,15 @@ class TestDiscriminatorHead:
         sums = out.data.sum(axis=1)
         assert not np.allclose(sums, 1.0)
 
-    def test_extreme_logits_clamped_finite_loss(self):
+    def test_extreme_logits_give_finite_loss(self):
         head = heads.DiscriminatorHead(3, 2, np.random.default_rng(0), hidden=4)
         for t in head.group.tensors.values():
             t.data[:] = 50.0
         out = head.forward(ad.constant(np.ones((2, 3)) * 50.0))
-        assert np.all(out.data <= 1.0 - heads.PROB_FLOOR)
-        loss = -ad.tmean(ad.log(1.0 - out))
-        assert np.isfinite(loss.item())
+        assert np.all(out.data > 1e6) and np.all(np.isfinite(out.data))
+        # every entry confidently wrong: the loss is the logit sum itself
+        loss = obj.loss_dis(out, np.zeros((2, 2)))
+        assert loss.item() == pytest.approx(out.data.sum(axis=1).mean(), rel=1e-15)
 
     def test_dim_and_target_count_validation(self):
         with pytest.raises(DimensionError):
@@ -38,11 +54,14 @@ class TestDiscriminatorHead:
 
 
 class TestClassifierHead:
-    def test_output_is_column_of_probabilities(self):
+    def test_output_is_column_of_logits(self):
         head = heads.ClassifierHead(6, np.random.default_rng(0), hidden=8)
-        out = head.forward(ad.constant(np.random.default_rng(1).normal(size=(7, 6))))
+        x = np.random.default_rng(1).normal(size=(7, 6)) * 10.0
+        out = head.forward(ad.constant(x))
         assert out.data.shape == (7, 1)
-        assert np.all((out.data > 0.0) & (out.data < 1.0))
+        np.testing.assert_allclose(out.data, straight_line_logits(head.group, x),
+                                   rtol=0, atol=1e-12)
+        assert np.any((out.data < 0.0) | (out.data > 1.0))
 
     def test_shared_head_gives_identical_scores_for_identical_inputs(self):
         head = heads.ClassifierHead(4, np.random.default_rng(5), hidden=8)

@@ -10,73 +10,97 @@ def tensor(values):
     return ad.constant(np.asarray(values, dtype=np.float64))
 
 
+def logits(probs):
+    """Logits whose sigmoid is `probs`, e.g. log(0.9/0.1) for 0.9."""
+    p = np.asarray(probs, dtype=np.float64)
+    return tensor(np.log(p / (1.0 - p)))
+
+
 class TestLossDis:
     def test_uninformative_predictions_give_targets_times_ln2(self):
         # every entry at 0.5 costs ln 2, summed over the 3 target columns
-        p_hat = tensor(np.full((4, 3), 0.5))
+        z = logits(np.full((4, 3), 0.5))
         p = np.asarray([[1, 0, 0], [0, 1, 1], [0, 0, 0], [1, 1, 1]])
-        assert obj.loss_dis(p_hat, p).item() == pytest.approx(3 * np.log(2), abs=1e-12)
+        assert obj.loss_dis(z, p).item() == pytest.approx(3 * np.log(2), abs=1e-12)
 
     def test_hand_computed_mixed_batch(self):
-        p_hat = tensor([[0.9, 0.2], [0.6, 0.7]])
+        z = logits([[0.9, 0.2], [0.6, 0.7]])
         p = np.asarray([[1, 0], [0, 1]])
         expected = -0.5 * ((np.log(0.9) + np.log(0.8))
                            + (np.log(0.4) + np.log(0.7)))
-        assert obj.loss_dis(p_hat, p).item() == pytest.approx(expected, abs=1e-12)
+        assert obj.loss_dis(z, p).item() == pytest.approx(expected, abs=1e-12)
 
     def test_confident_correct_predictions_cost_little(self):
-        p_hat = tensor([[1 - 1e-7, 1e-7]])
+        z = logits([[1 - 1e-7, 1e-7]])
         p = np.asarray([[1, 0]])
-        assert obj.loss_dis(p_hat, p).item() < 1e-6
+        assert obj.loss_dis(z, p).item() < 1e-6
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            obj.loss_dis(tensor(np.full((2, 3), 0.5)), np.zeros((2, 2)))
+            obj.loss_dis(tensor(np.zeros((2, 3))), np.zeros((2, 2)))
 
     def test_gradient_sign_pushes_toward_labels(self):
-        p_hat = ad.sigmoid(ad.Tensor(np.zeros((1, 2)), requires_grad=True))
+        z = ad.Tensor(np.zeros((1, 2)), requires_grad=True)
         p = np.asarray([[1, 0]])
-        ad.backward(obj.loss_dis(p_hat, p))
-        logits = p_hat._parents[0]
+        ad.backward(obj.loss_dis(z, p))
         # increasing the positive-target logit lowers the loss, and conversely
-        assert logits.grad[0, 0] < 0 < logits.grad[0, 1]
+        assert z.grad[0, 0] < 0 < z.grad[0, 1]
 
 
 class TestLossHate:
     def test_hand_computed_value(self):
-        y_hat = tensor([[0.9], [0.2]])
+        z = logits([[0.9], [0.2]])
         y = np.asarray([1, 0])
         expected = -0.5 * (np.log(0.9) + np.log(0.8))
-        assert obj.loss_hate(y_hat, y).item() == pytest.approx(expected, abs=1e-12)
+        assert obj.loss_hate(z, y).item() == pytest.approx(expected, abs=1e-12)
 
     def test_batch_mean_is_size_invariant(self):
-        one = obj.loss_hate(tensor([[0.7]]), np.asarray([1])).item()
-        many = obj.loss_hate(tensor([[0.7]] * 6), np.asarray([1] * 6)).item()
+        one = obj.loss_hate(logits([[0.7]]), np.asarray([1])).item()
+        many = obj.loss_hate(logits([[0.7]] * 6), np.asarray([1] * 6)).item()
         assert one == pytest.approx(many, abs=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            obj.loss_hate(tensor([[0.5], [0.5]]), np.asarray([1]))
+            obj.loss_hate(tensor([[0.0], [0.0]]), np.asarray([1]))
+
+
+class TestSaturatedLogits:
+    def test_wrong_label_at_logit_40_keeps_a_full_gradient(self):
+        # a clamped probability would give zero gradient here; the logit loss
+        # charges |z| per wrong entry and keeps the slope sigmoid(z) - label
+        n = 2
+        z = ad.Tensor(np.asarray([[40.0], [-40.0]]), requires_grad=True)
+        hate = obj.loss_hate(z, np.asarray([0, 1]))
+        ad.backward(hate)
+        assert hate.item() == pytest.approx(40.0, rel=1e-15)
+        np.testing.assert_allclose(z.grad, [[1.0 / n], [-1.0 / n]], rtol=1e-15, atol=0)
+
+        z = ad.Tensor(np.asarray([[40.0, -40.0], [-40.0, 40.0]]), requires_grad=True)
+        dis = obj.loss_dis(z, np.asarray([[0, 1], [1, 0]]))
+        ad.backward(dis)
+        assert dis.item() == pytest.approx(80.0, rel=1e-15)
+        np.testing.assert_allclose(z.grad, [[1.0 / n, -1.0 / n], [-1.0 / n, 1.0 / n]],
+                                   rtol=1e-15, atol=0)
 
 
 class TestLossImi:
     def test_zero_when_distributions_match(self):
-        y = tensor([[0.3], [0.8]])
-        assert obj.loss_imi(y, tensor([[0.3], [0.8]])).item() == pytest.approx(0.0, abs=1e-12)
+        z = logits([[0.3], [0.8]])
+        assert obj.loss_imi(z, logits([[0.3], [0.8]])).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_computed_two_class_kl(self):
         # KL(0.9 || 0.1) = 0.8 * ln 9
-        got = obj.loss_imi(tensor([[0.9]]), tensor([[0.1]])).item()
+        got = obj.loss_imi(logits([[0.9]]), logits([[0.1]])).item()
         assert got == pytest.approx(0.8 * np.log(9.0), abs=1e-12)
 
     def test_asymmetry(self):
-        a, b = tensor([[0.9]]), tensor([[0.6]])
+        a, b = logits([[0.9]]), logits([[0.6]])
         assert obj.loss_imi(a, b).item() != pytest.approx(obj.loss_imi(b, a).item())
 
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
-        a = tensor(rng.uniform(0.01, 0.99, size=(50, 1)))
-        b = tensor(rng.uniform(0.01, 0.99, size=(50, 1)))
+        a = logits(rng.uniform(0.01, 0.99, size=(50, 1)))
+        b = logits(rng.uniform(0.01, 0.99, size=(50, 1)))
         assert obj.loss_imi(a, b).item() >= 0.0
 
 
@@ -157,10 +181,3 @@ class TestSynergic:
             with pytest.raises(ConfigError):
                 obj.synergic(zero, zero, zero, zero, **kwargs)
 
-
-class TestBundle:
-    def test_records_scalar_values(self):
-        b = obj.bundle(tensor(0.1), tensor(0.2), tensor(0.3), tensor(0.4),
-                       tensor(0.5))
-        assert (b.l_hate, b.l_dis, b.l_reg, b.l_imi, b.synergic) == (
-            0.1, 0.2, 0.3, 0.4, 0.5)
