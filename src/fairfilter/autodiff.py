@@ -337,10 +337,6 @@ class ParamGroup:
         for t in self.tensors.values():
             t.requires_grad = True
 
-    def zero_grad(self) -> None:
-        for t in self.tensors.values():
-            t.grad = None
-
     @property
     def grads(self) -> dict[str, np.ndarray | None]:
         return {k: t.grad for k, t in self.tensors.items()}

@@ -159,10 +159,18 @@ def _select_records(corpus, split_manifest, split_name):
     if split_manifest is None:
         return records
     with open(split_manifest, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"split manifest '{split_manifest}' is not JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"split manifest '{split_manifest}' is not a JSON object")
     if split_name not in manifest:
         raise ConfigError(f"split '{split_name}' not present in {split_manifest}")
-    wanted = set(manifest[split_name])
+    ids = manifest[split_name]
+    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+        raise DataError(f"split '{split_name}' in {split_manifest} is not a list of ids")
+    wanted = set(ids)
     selected = [r for r in records if r.id in wanted]
     if len(selected) != len(wanted):
         missing = wanted - {r.id for r in selected}
@@ -281,6 +289,8 @@ def export_filters(checkpoint, vectors, targets, out):
 @_exits
 def metrics_cmd(predictions, corpus, out, threshold):
     """Recompute the evaluation report from a stored predictions file."""
+    if not 0.0 < threshold < 1.0:
+        raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
     scores: dict[str, float] = {}
     with open(predictions, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -288,7 +298,11 @@ def metrics_cmd(predictions, corpus, out, threshold):
                 or "score" not in reader.fieldnames:
             raise DataError(f"'{predictions}' is not an id,score,label CSV")
         for row in reader:
-            scores[row["id"]] = float(row["score"])
+            try:
+                scores[row["id"]] = float(row["score"])
+            except (TypeError, ValueError):
+                raise DataError(f"'{predictions}' line {reader.line_num}: "
+                                f"score {row['score']!r} is not a number") from None
     if not scores:
         raise DataError(f"predictions file '{predictions}' is empty")
     records = [r for r in load_jsonl(corpus) if r.id in scores]

@@ -7,31 +7,11 @@ corpus specs (synth.*).
 
 from __future__ import annotations
 
+from dataclasses import MISSING, fields
+
 from .data import SplitSpec, SyntheticSpec
 from .errors import ConfigError
 from .trainer import TrainConfig
-
-# config-file key -> TrainConfig field
-_TRAIN_KEYS = {
-    "lambda": ("lam", float),
-    "gamma": ("gamma", float),
-    "mu": ("mu", float),
-    "rank": ("rank", int),
-    "depth": ("depth", int),
-    "hidden_dim": ("hidden_dim", int),
-    "n_dis": ("n_dis", int),
-    "n_filter": ("n_filter", int),
-    "batch_size": ("batch_size", int),
-    "lr": ("lr", float),
-    "lr_dis": ("lr_dis", float),
-    "max_rounds": ("max_rounds", int),
-    "patience": ("patience", int),
-    "seed": ("seed", int),
-    "threshold": ("threshold", float),
-    "hyper_hidden": ("hyper_hidden", int),
-    "head_hidden": ("head_hidden", int),
-    "adapter_depth": ("adapter_depth", int),
-}
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -69,56 +49,58 @@ def _csv_list(value: str) -> list[str]:
     return [item.strip() for item in value.split(",") if item.strip()]
 
 
+def _section(kv: dict[str, str], section: str) -> dict[str, str]:
+    """The `section.*` entries of `kv`, keyed without the section prefix."""
+    prefix = section + "."
+    return {k[len(prefix):]: v for k, v in kv.items() if k.startswith(prefix)}
+
+
+def _fields(section: str, entries: dict[str, str], cls,
+            renames: dict[str, str] | None = None) -> dict:
+    """Entries as keyword arguments of dataclass `cls`.
+
+    Each key names a field that has a default (`renames` maps a field to
+    another key), and its value is parsed as that default's type. Unknown
+    keys raise.
+    """
+    renames = renames or {}
+    by_key = {renames.get(f.name, f.name): f for f in fields(cls)
+              if f.default is not MISSING}
+    out = {}
+    for key, value in entries.items():
+        if key not in by_key:
+            raise ConfigError(f"unknown config key '{section}.{key}'")
+        field = by_key[key]
+        out[field.name] = _convert(f"{section}.{key}", value, type(field.default))
+    return out
+
+
 def train_config_from(kv: dict[str, str]) -> TrainConfig:
-    fields = {}
-    for key, value in kv.items():
-        if not key.startswith("train."):
-            continue
-        short = key[len("train."):]
-        if short not in _TRAIN_KEYS:
-            raise ConfigError(f"unknown training key '{key}'")
-        name, kind = _TRAIN_KEYS[short]
-        fields[name] = _convert(key, value, kind)
-    return TrainConfig(**fields).validate()
+    return TrainConfig(**_fields("train", _section(kv, "train"), TrainConfig,
+                                 {"lam": "lambda"})).validate()
 
 
 def split_spec_from(kv: dict[str, str], corpus_targets: set[str]) -> SplitSpec:
     """Split settings; `split.unseen_targets` is mandatory."""
-    if "split.unseen_targets" not in kv:
+    entries = _section(kv, "split")
+    if "unseen_targets" not in entries:
         raise ConfigError("config must declare split.unseen_targets")
-    unseen = _csv_list(kv["split.unseen_targets"])
+    unseen = _csv_list(entries.pop("unseen_targets"))
     if not unseen:
         raise ConfigError("split.unseen_targets must name at least one target")
     seen = sorted(corpus_targets - set(unseen))
-    spec = SplitSpec(
-        seen_targets=seen,
-        unseen_targets=unseen,
-        validation_fraction=_convert("split.validation_fraction",
-                                     kv.get("split.validation_fraction", "0.15"), float),
-        balance_eval=_convert("split.balance_eval",
-                              kv.get("split.balance_eval", "true"), bool),
-        seed=_convert("split.seed", kv.get("split.seed", "0"), int),
-    )
-    return spec.validate()
+    return SplitSpec(seen_targets=seen, unseen_targets=unseen,
+                     **_fields("split", entries, SplitSpec)).validate()
 
 
 def synth_spec_from(kv: dict[str, str]) -> SyntheticSpec:
-    if "synth.targets" not in kv:
+    entries = _section(kv, "synth")
+    if "targets" not in entries:
         raise ConfigError("synthetic spec must declare synth.targets")
-    targets = _csv_list(kv["synth.targets"])
+    targets = _csv_list(entries.pop("targets"))
     rates = {}
-    for key, value in kv.items():
-        if key.startswith("synth.label_rate."):
-            rates[key[len("synth.label_rate."):]] = _convert(key, value, float)
-    spec = SyntheticSpec(
-        n_posts=_convert("synth.n_posts", kv.get("synth.n_posts", "1000"), int),
-        target_names=targets,
-        label_rates=rates,
-        signal_scale=_convert("synth.signal_scale",
-                              kv.get("synth.signal_scale", "1.0"), float),
-        bias_scale=_convert("synth.bias_scale", kv.get("synth.bias_scale", "0.0"), float),
-        noise=_convert("synth.noise", kv.get("synth.noise", "0.0"), float),
-        dim=_convert("synth.dim", kv.get("synth.dim", "32"), int),
-        seed=_convert("synth.seed", kv.get("synth.seed", "0"), int),
-    )
-    return spec.validate()
+    for key in [k for k in entries if k.startswith("label_rate.")]:
+        rates[key[len("label_rate."):]] = _convert(f"synth.{key}", entries.pop(key), float)
+    n_posts = _convert("synth.n_posts", entries.pop("n_posts", "1000"), int)
+    return SyntheticSpec(n_posts=n_posts, target_names=targets, label_rates=rates,
+                         **_fields("synth", entries, SyntheticSpec)).validate()

@@ -47,7 +47,8 @@ class TargetIndicator:
 
 
 def load_word_vectors(path, case_fold: bool = True) -> WordVectorStore:
-    """Parse a 'token v1 ... vD' text file; every line must share one D."""
+    """Parse a 'token v1 ... vD' text file; every line must share one D and
+    every entry must be finite."""
     vectors: dict[str, np.ndarray] = {}
     dim = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -60,6 +61,8 @@ def load_word_vectors(path, case_fold: bool = True) -> WordVectorStore:
                 vec = np.asarray([float(p) for p in parts[1:]], dtype=np.float64)
             except ValueError:
                 raise DataError(f"line {line_no}: non-numeric vector entry") from None
+            if not np.all(np.isfinite(vec)):
+                raise DataError(f"line {line_no}: non-finite vector entry")
             if dim is None:
                 dim = len(vec)
             elif len(vec) != dim:

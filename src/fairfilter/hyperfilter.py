@@ -20,7 +20,7 @@ gap-alignment loss works in factor space too (`filter_gram`).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +105,26 @@ def assemble_theta(factors: LowRankFactors) -> Tensor:
     return ad.einsum("tdl,tlj->tdj", uw, factors.v)
 
 
+def membership(target_sets: Sequence[Collection[str]], names: Sequence[str]) -> np.ndarray:
+    """The (n, T) 0/1 matrix of which of `names` each post's target set names.
+
+    A name repeated within a set counts once. An unknown name raises
+    ConfigError, an empty set GraphError.
+    """
+    column = {name: j for j, name in enumerate(names)}
+    out = np.zeros((len(target_sets), len(names)))
+    for row, tset in zip(out, target_sets):
+        if not tset:
+            raise GraphError("empty target set")
+        for t in tset:
+            if t not in column:
+                raise ConfigError(f"unknown target '{t}'")
+            row[column[t]] = 1.0
+    return out
+
+
 def ensemble_params(hyper: HyperFilter, indicators: dict[str, np.ndarray],
-                    target_sets: Sequence[Iterable[str]]
+                    target_sets: Sequence[Collection[str]]
                     ) -> tuple[list[LowRankFactors], np.ndarray]:
     """Factors of every target in `indicators` plus each post's mixing row.
 
@@ -117,20 +135,8 @@ def ensemble_params(hyper: HyperFilter, indicators: dict[str, np.ndarray],
     if not indicators:
         raise GraphError("ensemble_params called with an empty target table")
     names = sorted(indicators)
-    column = {name: j for j, name in enumerate(names)}
-    rows, cols, weights = [], [], []
-    for row, tset in enumerate(target_sets):
-        members = set(tset)
-        if not members:
-            raise GraphError("ensemble_params called with an empty target set")
-        try:
-            cols.extend(column[t] for t in members)
-        except KeyError as exc:
-            raise ConfigError(f"no indicator for target {exc}") from None
-        rows.extend([row] * len(members))
-        weights.extend([1.0 / len(members)] * len(members))
-    mix = np.zeros((len(target_sets), len(names)))
-    mix[rows, cols] = weights
+    mix = membership(target_sets, names)
+    mix /= mix.sum(axis=1, keepdims=True)
     factors = target_theta(hyper, np.stack([indicators[n] for n in names]))
     return factors, mix
 

@@ -5,6 +5,11 @@ classifier, and adapter frozen), then trains filter + classifier + adapter
 for N' epochs against the synergic loss with the discriminator frozen.
 Rounds continue until the round cap or until the validation composite
 (F1 - HF) stops improving; the best-validation snapshot is returned.
+
+Both phases run one loop, `_run_phase`, which sets the freeze state, steps
+Adam on the phase's trainable groups and records telemetry; a phase is the
+groups it trains plus its loss function (`discriminator_losses` or
+`synergic_losses`, which the gradient suite checks directly).
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .metrics import build_report
 
 CHECKPOINT_VERSION = 1
 LOSS_KEYS = ("l_hate", "l_dis", "l_reg", "l_imi", "synergic")
+PHASE_OBJECTIVES = {"dis": "discriminator loss", "filter": "synergic loss"}
 
 
 @dataclass
@@ -57,6 +63,8 @@ class TrainConfig:
     adapter_depth: int = 1
 
     def validate(self) -> "TrainConfig":
+        if not all(np.isfinite(v) for v in asdict(self).values()):
+            raise ConfigError("config values must be finite")
         if self.lam < 0 or self.gamma < 0 or self.mu < 0:
             raise ConfigError("loss coefficients must be non-negative")
         if self.rank < 1 or self.depth < 1 or self.hidden_dim < 1:
@@ -103,13 +111,7 @@ class Model:
                 "dis": self.discriminator.group, "hate": self.classifier.group}
 
     def multi_hot(self, records: list[PostRecord]) -> np.ndarray:
-        index = {t: i for i, t in enumerate(self.seen_targets)}
-        out = np.zeros((len(records), len(self.seen_targets)))
-        for row, record in enumerate(records):
-            for t in record.target_set:
-                if t in index:
-                    out[row, index[t]] = 1.0
-        return out
+        return hf.membership([r.targets for r in records], self.seen_targets)
 
     def filter_batch(self, records: list[PostRecord],
                      indicators: dict[str, np.ndarray] | None = None
@@ -123,7 +125,7 @@ class Model:
         """
         indicators = indicators if indicators is not None else self.indicators
         factors, mix = hf.ensemble_params(self.hyper, indicators,
-                                          [r.target_set for r in records])
+                                          [r.targets for r in records])
         s = encode_posts(records, self.adapter)
         return s, hf.apply_filter(s, factors, mix), factors
 
@@ -168,83 +170,80 @@ def _batch_stats(records: list[PostRecord]) -> dict:
             "embedding_absmax": float(np.max(np.abs(embeddings)))}
 
 
-def _guard_finite(value: float, what: str, batch: list[PostRecord]) -> None:
-    if not np.isfinite(value):
-        raise DivergenceError(
-            f"non-finite {what}; last batch: {json.dumps(_batch_stats(batch))}")
+def discriminator_losses(model: Model, records: list[PostRecord]) -> dict[str, Tensor]:
+    """The discriminator phase's objective: recover each post's seen targets
+    from its filtered embedding."""
+    _, s_tilde, _ = model.filter_batch(records)
+    return {"l_dis": obj.loss_dis(model.discriminator.forward(s_tilde),
+                                  model.multi_hot(records))}
 
 
-def _epoch_means(rows: list[dict], keys: tuple[str, ...]) -> dict[str, float]:
-    return {k: float(np.mean([row[k] for row in rows])) for k in keys}
+def synergic_losses(model: Model, records: list[PostRecord]) -> dict[str, Tensor]:
+    """The filter phase's four loss terms and their synergic combination,
+    keyed by LOSS_KEYS in that order."""
+    cfg = model.config
+    s, s_tilde, factors = model.filter_batch(records)
+    y = np.asarray([r.label for r in records])
+    z = model.classifier.forward(s_tilde)
+    z_prime = model.classifier.forward(s)
+    l_hate = obj.loss_hate(z, y)
+    l_dis = obj.loss_dis(model.discriminator.forward(s_tilde), model.multi_hot(records))
+    l_imi = obj.loss_imi(z, z_prime)
+    if cfg.mu > 0 and len(model.seen_targets) >= 2:
+        l_reg = obj.loss_reg(model.indicators, hf.filter_gram(factors))
+    else:
+        l_reg = ad.constant(0.0)
+    combined = obj.synergic(l_hate, l_dis, l_reg, l_imi, cfg.lam, cfg.gamma, cfg.mu)
+    return dict(zip(LOSS_KEYS, (l_hate, l_dis, l_reg, l_imi, combined)))
 
 
-def phase_discriminator(state: TrainState, records: list[PostRecord],
-                        epochs: int, rng: np.random.Generator) -> None:
-    """N epochs of discriminator-only minibatch updates (rest frozen)."""
+def _run_phase(state: TrainState, records: list[PostRecord], epochs: int,
+               rng: np.random.Generator, phase: str, trainable: tuple[str, ...],
+               losses_of) -> None:
+    """`epochs` epochs of minibatch Adam steps on the `trainable` groups.
+
+    Every other group is frozen. Each step backpropagates the last loss that
+    `losses_of(model, batch)` returns and appends a telemetry row; each
+    epoch appends the means of the returned losses to the history.
+    """
     model = state.model
     for name, group in model.groups.items():
-        if name == "dis":
+        if name in trainable:
             group.unfreeze()
         else:
             group.freeze()
     for epoch in range(epochs):
         first = len(state.telemetry)
         for batch in _minibatches(records, model.config.batch_size, rng):
-            _, s_tilde, _ = model.filter_batch(batch)
-            l_dis = obj.loss_dis(model.discriminator.forward(s_tilde),
-                                 model.multi_hot(batch))
-            _guard_finite(l_dis.item(), "discriminator loss", batch)
-            ad.backward(l_dis)
-            ad.adam_step(model.discriminator.group, state.adam["dis"])
+            losses = losses_of(model, batch)
+            *_, objective = losses.values()
+            if not np.isfinite(objective.item()):
+                raise DivergenceError(f"non-finite {PHASE_OBJECTIVES[phase]}; "
+                                      f"last batch: {json.dumps(_batch_stats(batch))}")
+            ad.backward(objective)
+            for name in trainable:
+                ad.adam_step(model.groups[name], state.adam[name])
             state.global_step += 1
             state.telemetry.append({
-                "step": state.global_step, "phase": "dis",
-                "l_hate": "", "l_dis": l_dis.item(), "l_reg": "", "l_imi": "",
-                "synergic": ""})
-        state.history.append({"round": state.round, "phase": "dis", "epoch": epoch,
-                              **_epoch_means(state.telemetry[first:], ("l_dis",))})
+                "step": state.global_step, "phase": phase,
+                **{k: losses[k].item() if k in losses else "" for k in LOSS_KEYS}})
+        rows = state.telemetry[first:]
+        state.history.append({
+            "round": state.round, "phase": phase, "epoch": epoch,
+            **{k: float(np.mean([row[k] for row in rows])) for k in losses}})
+
+
+def phase_discriminator(state: TrainState, records: list[PostRecord],
+                        epochs: int, rng: np.random.Generator) -> None:
+    """N epochs of discriminator-only minibatch updates (rest frozen)."""
+    _run_phase(state, records, epochs, rng, "dis", ("dis",), discriminator_losses)
 
 
 def phase_filter(state: TrainState, records: list[PostRecord],
                  epochs: int, rng: np.random.Generator) -> None:
     """N' epochs of synergic-loss updates on filter, classifier, and adapter."""
-    model = state.model
-    cfg = model.config
-    for name, group in model.groups.items():
-        if name == "dis":
-            group.freeze()
-        else:
-            group.unfreeze()
-    for epoch in range(epochs):
-        first = len(state.telemetry)
-        for batch in _minibatches(records, cfg.batch_size, rng):
-            s, s_tilde, factors = model.filter_batch(batch)
-            y = np.asarray([r.label for r in batch])
-            z = model.classifier.forward(s_tilde)
-            z_prime = model.classifier.forward(s)
-            l_hate = obj.loss_hate(z, y)
-            l_dis = obj.loss_dis(model.discriminator.forward(s_tilde),
-                                 model.multi_hot(batch))
-            l_imi = obj.loss_imi(z, z_prime)
-            if cfg.mu > 0 and len(model.seen_targets) >= 2:
-                l_reg = obj.loss_reg(model.indicators, hf.filter_gram(factors))
-            else:
-                l_reg = ad.constant(0.0)
-            combined = obj.synergic(l_hate, l_dis, l_reg, l_imi,
-                                    cfg.lam, cfg.gamma, cfg.mu)
-            _guard_finite(combined.item(), "synergic loss", batch)
-            ad.backward(combined)
-            for name in ("enc", "hyper", "hate"):
-                ad.adam_step(model.groups[name], state.adam[name])
-            state.global_step += 1
-            state.telemetry.append({
-                "step": state.global_step, "phase": "filter",
-                "l_hate": l_hate.item(), "l_dis": l_dis.item(),
-                "l_reg": l_reg.item(), "l_imi": l_imi.item(),
-                "synergic": combined.item()})
-        state.history.append({
-            "round": state.round, "phase": "filter", "epoch": epoch,
-            **_epoch_means(state.telemetry[first:], LOSS_KEYS)})
+    _run_phase(state, records, epochs, rng, "filter", ("enc", "hyper", "hate"),
+               synergic_losses)
 
 
 def _snapshot(model: Model) -> dict[str, dict[str, np.ndarray]]:
@@ -266,24 +265,22 @@ def fit(config: TrainConfig, split: CorpusSplit,
     if not split.train:
         raise DataError("empty training split")
     seen = sorted({t for r in split.train for t in r.targets})
-    for r in split.validation:
-        for t in r.targets:
-            if t not in indicators:
-                raise ConfigError(f"validation target '{t}' has no indicator")
     if d_in is None:
         d_in = split.train[0].embedding.shape[0]
     indicator_dim = len(next(iter(indicators.values())))
     model = Model(config, d_in, indicator_dim, seen, indicators)
+    val_indicators = dict(model.indicators)
+    for r in split.validation:
+        for t in r.targets:
+            if t not in indicators:
+                raise ConfigError(f"validation target '{t}' has no indicator")
+            val_indicators.setdefault(t, indicators[t])
     adam = {"dis": AdamState(lr=config.lr_dis),
             "enc": AdamState(lr=config.lr),
             "hyper": AdamState(lr=config.lr),
             "hate": AdamState(lr=config.lr)}
     state = TrainState(model=model, adam=adam)
     rng = np.random.default_rng(config.seed + 1)
-    val_indicators = dict(model.indicators)
-    for r in split.validation:
-        for t in r.targets:
-            val_indicators.setdefault(t, indicators[t])
 
     rounds_since_best = 0
     for round_no in range(config.max_rounds):

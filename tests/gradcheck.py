@@ -1,4 +1,5 @@
-"""Finite-difference gradient checking against the full training objective.
+"""Finite-difference gradient checking of `trainer.synergic_losses`, the
+filter-phase objective that `fit` trains.
 
 The check draws all parameters at O(1) scale and rejects draws where any
 ReLU pre-activation sits within a guard band of its kink, since central
@@ -11,12 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from fairfilter import autodiff as ad
-from fairfilter import hyperfilter as hf
-from fairfilter import objectives as obj
 from fairfilter.data import PostRecord
-from fairfilter.trainer import Model, TrainConfig
-
-LOSS_NAMES = ("hate", "dis", "reg", "imi", "synergic")
+from fairfilter.trainer import LOSS_KEYS, Model, TrainConfig, synergic_losses
 
 KINK_GUARD = 1e-4
 LOGIT_GUARD = 12.0
@@ -48,20 +45,6 @@ def build_case(seed: int, d: int = 16, rank: int = 2, depth: int = 2,
     return model, records
 
 
-def eval_losses(model: Model, records, lam=0.9, gamma=3.0, mu=0.9) -> dict:
-    """All five loss tensors for one forward pass."""
-    s, s_tilde, factors = model.filter_batch(records)
-    y = np.asarray([r.label for r in records])
-    z = model.classifier.forward(s_tilde)
-    z_prime = model.classifier.forward(s)
-    l_hate = obj.loss_hate(z, y)
-    l_dis = obj.loss_dis(model.discriminator.forward(s_tilde), model.multi_hot(records))
-    l_imi = obj.loss_imi(z, z_prime)
-    l_reg = obj.loss_reg(model.indicators, hf.filter_gram(factors))
-    combined = obj.synergic(l_hate, l_dis, l_reg, l_imi, lam, gamma, mu)
-    return dict(zip(LOSS_NAMES, (l_hate, l_dis, l_reg, l_imi, combined)))
-
-
 def draw_is_smooth(model: Model, records) -> bool:
     """Reject draws whose forward pass runs close to a ReLU kink or whose
     head logits exceed LOGIT_GUARD in magnitude.
@@ -87,7 +70,7 @@ def draw_is_smooth(model: Model, records) -> bool:
 
     ad.relu, ad.softplus = relu_probe, softplus_probe
     try:
-        eval_losses(model, records)
+        synergic_losses(model, records)
     finally:
         ad.relu, ad.softplus = orig_relu, orig_softplus
     return min_kink[0] > KINK_GUARD and max_logit[0] < LOGIT_GUARD
@@ -103,7 +86,7 @@ def smooth_case(seed: int, **kwargs):
 
 
 def analytic_grads(model: Model, records, loss_name: str) -> dict:
-    losses = eval_losses(model, records)
+    losses = synergic_losses(model, records)
     ad.backward(losses[loss_name])
     out = {}
     for gname, group in model.groups.items():
@@ -119,7 +102,7 @@ def fd_check_all(model: Model, records, eps: float = 1e-5,
     """Compare every parameter coordinate's FD slope with the reverse-mode
     gradient, for all five losses at once. Returns the worst relative error.
     """
-    grads = {name: analytic_grads(model, records, name) for name in LOSS_NAMES}
+    grads = {name: analytic_grads(model, records, name) for name in LOSS_KEYS}
     worst = 0.0
     for gname, group in model.groups.items():
         for tname, tensor in group.tensors.items():
@@ -127,11 +110,11 @@ def fd_check_all(model: Model, records, eps: float = 1e-5,
             for i in range(flat.size):
                 original = flat[i]
                 flat[i] = original + eps
-                plus = {k: v.item() for k, v in eval_losses(model, records).items()}
+                plus = {k: v.item() for k, v in synergic_losses(model, records).items()}
                 flat[i] = original - eps
-                minus = {k: v.item() for k, v in eval_losses(model, records).items()}
+                minus = {k: v.item() for k, v in synergic_losses(model, records).items()}
                 flat[i] = original
-                for name in LOSS_NAMES:
+                for name in LOSS_KEYS:
                     fd = (plus[name] - minus[name]) / (2.0 * eps)
                     an = grads[name][(gname, tname)].reshape(-1)[i]
                     rel = abs(fd - an) / max(abs(fd), abs(an), abs_floor)

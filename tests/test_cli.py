@@ -230,10 +230,33 @@ def narrow_vectors(ws):
     return path
 
 
-def eval_args(ws, checkpoint=None, corpus=None, vectors=None):
-    return ["eval", str(checkpoint or ws / "run" / "checkpoint.npz"),
+def text_file(ws, name, text):
+    path = ws / name
+    path.write_text(text)
+    return path
+
+
+def non_finite_vectors(ws):
+    """The vectors with every entry of the unseen target's token set to nan."""
+    lines = []
+    for line in (ws / "vectors.txt").read_text().splitlines():
+        token, *entries = line.split(" ")
+        if token == "gamma":
+            line = " ".join([token] + ["nan"] * len(entries))
+        lines.append(line + "\n")
+    return text_file(ws, "nan.txt", "".join(lines))
+
+
+def eval_args(ws, checkpoint=None, corpus=None, vectors=None, split_manifest=None):
+    args = ["eval", str(checkpoint or ws / "run" / "checkpoint.npz"),
             str(corpus or ws / "corpus.jsonl"), str(vectors or ws / "vectors.txt"),
             "-o", str(ws / "e")]
+    return args + (["--split-manifest", str(split_manifest)] if split_manifest else [])
+
+
+def metrics_args(ws, predictions, *extra):
+    return ["metrics", str(text_file(ws, "p.csv", predictions)),
+            str(ws / "corpus.jsonl"), "-o", str(ws / "m.json"), *extra]
 
 
 MALFORMED_INPUTS = {
@@ -259,6 +282,16 @@ MALFORMED_INPUTS = {
         ws, lambda meta: meta["config"].update(rank=0)))),
     "checkpoint-threshold-2": (5, lambda ws: eval_args(ws, checkpoint=edit_checkpoint(
         ws, lambda meta: meta["config"].update(threshold=2.0)))),
+    "eval-non-finite-unseen-vector": (3, lambda ws: eval_args(
+        ws, vectors=non_finite_vectors(ws))),
+    "eval-split-manifest-not-json": (3, lambda ws: eval_args(
+        ws, split_manifest=text_file(ws, "s.json", "{not json"))),
+    "eval-split-manifest-ids-not-a-list": (3, lambda ws: eval_args(
+        ws, split_manifest=text_file(ws, "s.json", '{"test": 5}'))),
+    "metrics-non-numeric-score": (3, lambda ws: metrics_args(
+        ws, "id,score,label\ns000,high,1\n")),
+    "metrics-threshold-2": (2, lambda ws: metrics_args(
+        ws, "id,score,label\ns000,0.5,1\n", "--threshold", "2.0")),
 }
 
 

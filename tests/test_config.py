@@ -45,10 +45,6 @@ class TestTrainConfigFrom:
                                     "train.batch_size": "64"})
         assert tc.lam == 0.5 and tc.rank == 5 and tc.batch_size == 64
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="train.bogus"):
-            cfg.train_config_from({"train.bogus": "1"})
-
     def test_unparseable_value_rejected(self):
         with pytest.raises(ConfigError, match="train.rank"):
             cfg.train_config_from({"train.rank": "one"})
@@ -56,6 +52,24 @@ class TestTrainConfigFrom:
     def test_invalid_combination_rejected(self):
         with pytest.raises(ConfigError):
             cfg.train_config_from({"train.lambda": "-1"})
+
+
+# each reader with its section's mandatory keys already set
+READERS = {
+    "train": cfg.train_config_from,
+    "split": lambda kv: cfg.split_spec_from({"split.unseen_targets": "b", **kv},
+                                            {"a", "b"}),
+    "synth": lambda kv: cfg.synth_spec_from({"synth.targets": "a",
+                                             "synth.label_rate.a": "0.3", **kv}),
+}
+
+
+@pytest.mark.parametrize("key", ["train.bogus", "train.lam", "split.sed",
+                                 "split.validation_fracton", "synth.bias",
+                                 "synth.label_rate"])
+def test_unknown_key_rejected(key):
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        READERS[key.split(".")[0]]({key: "1"})
 
 
 class TestSplitSpecFrom:

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from fairfilter import autodiff as ad
 from fairfilter import hyperfilter as hf
+from fairfilter.data import PostRecord
 from fairfilter.errors import ConfigError, DimensionError, GraphError
+from fairfilter.trainer import Model, TrainConfig
 
 
 def make_hyper(d=6, rank=2, depth=2, indicator_dim=3, hidden=8, seed=0):
@@ -123,6 +125,11 @@ class TestEnsembleParams:
         for a, b in zip(fwd, rev):
             for name in ("u", "w", "v"):
                 assert getattr(a, name).data.tobytes() == getattr(b, name).data.tobytes()
+        # a target named twice in one post counts once
+        s = ad.constant(np.random.default_rng(2).normal(size=(2, 6)))
+        outs = [hf.apply_filter(s, *hf.ensemble_params(hyper, ind, sets))
+                for sets in ([("t0", "t0"), ("t1", "t2")], [("t0",), ("t1", "t2")])]
+        assert outs[0].data.tobytes() == outs[1].data.tobytes()
 
     def test_one_generator_pass_per_layer(self, monkeypatch):
         # posts sharing targets share graph nodes: however many posts and
@@ -151,6 +158,11 @@ class TestEnsembleParams:
             hf.ensemble_params(make_hyper(), ind, [{"t0"}, set()])
         with pytest.raises(ConfigError, match="ghost"):
             hf.ensemble_params(make_hyper(), ind, [{"t0", "ghost"}])
+        model = Model(TrainConfig(hidden_dim=6, hyper_hidden=8, head_hidden=4),
+                      d_in=6, indicator_dim=3, seen_targets=sorted(ind), indicators=ind)
+        with pytest.raises(ConfigError, match="ghost"):
+            model.multi_hot([PostRecord(id="p", targets=("t0", "ghost"), label=0,
+                                        embedding=np.zeros(6))])
 
 
 def dense_as_factors(*thetas):

@@ -50,7 +50,8 @@ def tiny_model(config=None, targets=("a", "b"), d_in=4):
 class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(lam=-0.1), dict(rank=0), dict(batch_size=0), dict(lr=0.0),
-        dict(max_rounds=0), dict(threshold=1.0),
+        dict(max_rounds=0), dict(threshold=1.0), dict(lam=float("nan")),
+        dict(lr=float("inf")), dict(mu=float("inf")),
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
