@@ -3,7 +3,9 @@
 The tape covers exactly the operations the rest of the package needs
 (matmul, einsum, broadcasting arithmetic, ReLU/sigmoid/softplus/sqrt,
 reductions, indexing, reshape). Graphs are rebuilt every step, so freeze
-state is captured at construction time of each node.
+state is captured at construction time of each node. A node that no
+gradient can reach keeps no parents and no backward closure, so a forward
+with every group frozen builds no graph.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ class Tensor:
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
-        self._parents = _parents
-        self._backward = _backward
+        # a node no gradient can reach keeps no tape: its output is a constant
+        self._parents = _parents if self.requires_grad else ()
+        self._backward = _backward if self.requires_grad else None
 
     @property
     def shape(self):
@@ -99,7 +102,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 def _acc(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
-    g = _unbroadcast(g, t.data.shape)
+    if g.shape != t.data.shape:
+        g = _unbroadcast(g, t.data.shape)
     t.grad = g if t.grad is None else t.grad + g
 
 
@@ -142,19 +146,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
 
     def bwd(g, a=a, b=b):
-        _acc(a, g @ b.data.T)
-        _acc(b, a.data.T @ g)
+        if a.requires_grad:
+            _acc(a, g @ b.data.T)
+        if b.requires_grad:
+            _acc(b, a.data.T @ g)
 
     return Tensor(a.data @ b.data, _parents=(a, b), _backward=bwd)
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
+    """max(x, 0); NaN passes through, so the finite guards still see it."""
 
-    def bwd(g, a=a, mask=mask):
-        _acc(a, g * mask)
+    def bwd(g, a=a):
+        _acc(a, g * (a.data > 0))
 
-    return Tensor(np.where(mask, a.data, 0.0), _parents=(a,), _backward=bwd)
+    return Tensor(np.maximum(a.data, 0.0), _parents=(a,), _backward=bwd)
 
 
 def sigmoid(a: Tensor) -> Tensor:

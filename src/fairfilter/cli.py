@@ -23,7 +23,7 @@ from .config import parse_kv_file, split_spec_from, synth_spec_from, train_confi
 from .data import (load_jsonl, make_split, save_jsonl, synth_generate,
                    synth_indicators)
 from .embeddings import build_indicator, load_word_vectors, save_word_vectors, tokenize_target
-from .errors import ConfigError, DataError, FairFilterError
+from .errors import ConfigError, DataError, FairFilterError, utf8_or
 from .metrics import build_report
 from .trainer import (check_vector_width, checkpoint_load, checkpoint_save,
                       eval_indicators, fit, write_telemetry)
@@ -87,7 +87,7 @@ def main():
 @_exits
 def synth(spec_file, out, vectors_out):
     """Generate a synthetic corpus with planted target-label correlations."""
-    spec = synth_spec_from(parse_kv_file(spec_file))
+    spec = synth_spec_from(parse_kv_file(spec_file, sections=("synth",)))
     records = synth_generate(spec)
     if spec.n_posts == 0:
         click.echo("warning: n_posts = 0, writing an empty corpus", err=True)
@@ -116,7 +116,7 @@ def synth(spec_file, out, vectors_out):
 @_exits
 def train(config_file, corpus, vectors, out_dir):
     """Train the debiasing pipeline on a corpus and write the best checkpoint."""
-    kv = parse_kv_file(config_file)
+    kv = parse_kv_file(config_file, sections=("train", "split"))
     config = train_config_from(kv)
     records = load_jsonl(corpus)
     if not records:
@@ -292,17 +292,22 @@ def metrics_cmd(predictions, corpus, out, threshold):
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
     scores: dict[str, float] = {}
-    with open(predictions, "r", encoding="utf-8", newline="") as fh:
+    with open(predictions, "r", encoding="utf-8", newline="") as fh, \
+            utf8_or(DataError, predictions):
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "id" not in reader.fieldnames \
                 or "score" not in reader.fieldnames:
             raise DataError(f"'{predictions}' is not an id,score,label CSV")
         for row in reader:
             try:
-                scores[row["id"]] = float(row["score"])
+                score = float(row["score"])
             except (TypeError, ValueError):
                 raise DataError(f"'{predictions}' line {reader.line_num}: "
                                 f"score {row['score']!r} is not a number") from None
+            if not np.isfinite(score):
+                raise DataError(f"'{predictions}' line {reader.line_num}: "
+                                f"score {row['score']!r} is not finite")
+            scores[row["id"]] = score
     if not scores:
         raise DataError(f"predictions file '{predictions}' is empty")
     records = [r for r in load_jsonl(corpus) if r.id in scores]

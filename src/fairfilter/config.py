@@ -2,7 +2,8 @@
 
 One `section.key = value` assignment per line; `#` starts a comment. The
 same format drives training configs (train.* / split.*) and synthetic
-corpus specs (synth.*).
+corpus specs (synth.*). Each command rejects keys outside the sections it
+reads, so a misspelt section is an error rather than a silent default.
 """
 
 from __future__ import annotations
@@ -10,13 +11,15 @@ from __future__ import annotations
 from dataclasses import MISSING, fields
 
 from .data import SplitSpec, SyntheticSpec
-from .errors import ConfigError
+from .errors import ConfigError, utf8_or
 from .trainer import TrainConfig
 
 
-def parse_kv_file(path) -> dict[str, str]:
+def parse_kv_file(path, sections: tuple[str, ...]) -> dict[str, str]:
+    """The file's assignments; every key must be `<section>.<name>` for one
+    of `sections`."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, utf8_or(ConfigError, path):
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -28,6 +31,9 @@ def parse_kv_file(path) -> dict[str, str]:
                 raise ConfigError(f"{path}:{line_no}: empty key")
             if key in out:
                 raise ConfigError(f"{path}:{line_no}: duplicate key '{key}'")
+            if "." not in key or key.split(".", 1)[0] not in sections:
+                raise ConfigError(f"{path}:{line_no}: key '{key}' is outside the "
+                                  f"{', '.join(s + '.*' for s in sections)} sections")
             out[key] = value
     return out
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, utf8_or
 
 
 @dataclass
@@ -151,7 +151,7 @@ def load_jsonl(path) -> list[PostRecord]:
     records: list[PostRecord] = []
     seen_ids: set[str] = set()
     width: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, utf8_or(DataError, path):
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

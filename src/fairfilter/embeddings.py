@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamGroup, Tensor
-from .errors import DataError
+from .errors import DataError, utf8_or
 
 _TOKEN_SPLIT = re.compile(r"[\s_\-]+")
 
@@ -51,7 +51,7 @@ def load_word_vectors(path, case_fold: bool = True) -> WordVectorStore:
     every entry must be finite."""
     vectors: dict[str, np.ndarray] = {}
     dim = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, utf8_or(DataError, path):
         for line_no, line in enumerate(fh, start=1):
             parts = line.rstrip().split(" ")
             if len(parts) < 2:

@@ -4,6 +4,8 @@ Exit-code mapping used by the CLI: 0 ok, 2 config, 3 data, 4 numeric
 divergence, 5 I/O.
 """
 
+from contextlib import contextmanager
+
 
 class FairFilterError(Exception):
     """Base class for all package errors."""
@@ -45,3 +47,12 @@ class CheckpointError(FairFilterError):
     """Corrupt, incompatible, or version-mismatched checkpoint."""
 
     exit_code = 5
+
+
+@contextmanager
+def utf8_or(error: type[FairFilterError], path):
+    """Raise `error` naming `path` if the block reads bytes that are not UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise error(f"'{path}' is not UTF-8 text ({exc.reason})") from None

@@ -12,8 +12,13 @@ parameters, so the ensemble of a post i with target set S_i is exactly
 
     h_i <- sum_t M[i, t] * U_t W_t (V_t[:, :d] h_i + V_t[:, d]),
 
-with M[i, t] = 1/|S_i| for t in S_i and 0 elsewhere. The generator runs
-once per layer over a (T, indicator_dim) stack of indicators. The
+with M[i, t] = 1/|S_i| for t in S_i and 0 elsewhere. `apply_filter` runs
+this as two matrix products per layer over the T*K rank components of all
+targets side by side: z = h V' + b, with V' the (d, T*K) stack of the
+V_t[:, :d] and b that of the V_t[:, d]; then h = (z * M_rep) (UW)', with
+(UW)' the (T*K, d) stack of the U_t W_t and M_rep = M with each column
+repeated K times. The generator runs once per layer over a
+(T, indicator_dim) stack of indicators. The
 gap-alignment loss works in factor space too (`filter_gram`).
 `assemble_theta` is the only dense path; `export-filters` and tests use it.
 """
@@ -145,21 +150,26 @@ def apply_filter(s: Tensor, factors: list[LowRankFactors], mix: np.ndarray) -> T
     """Filter post embeddings s (n, d) through the factored layers.
 
     Each target's layer is affine, U W (V[:, :d] h + V[:, d]); a post's
-    output is the M-weighted sum over targets. ReLU between layers,
-    identity at the end so the output lives in the same space as s.
+    output is the M-weighted sum over targets, computed as two matrix
+    products over all targets' stacked rank components (module docstring).
+    ReLU between layers, identity at the end so the output lives in the
+    same space as s.
     """
-    t, d, _ = factors[0].u.shape
+    t, d, k = factors[0].u.shape
     if s.data.ndim != 2 or s.data.shape[1] != d:
         raise DimensionError(f"apply_filter: embeddings shape {s.shape} vs d={d}")
     if mix.shape != (s.data.shape[0], t):
         raise DimensionError(
             f"apply_filter: mixing shape {mix.shape} vs ({s.data.shape[0]}, {t})")
-    m = ad.constant(mix)
+    # M with each target's column repeated K times, matching the t-major
+    # (t, k) order of the reshaped factors below
+    m_rep = ad.constant(np.repeat(mix, k, axis=1))
     h = s
     for i, f in enumerate(factors):
-        z = ad.einsum("tkj,nj->ntk", f.v[:, :, :d], h) + f.v[:, :, d]
-        uw = ad.einsum("tdk,tkl->tdl", f.u, f.w)
-        h = ad.einsum("nt,ntd->nd", m, ad.einsum("tdl,ntl->ntd", uw, z))
+        v_in = ad.reshape(ad.einsum("tkj->jtk", f.v[:, :, :d]), (d, t * k))
+        uw_out = ad.reshape(ad.einsum("tdk,tkl->tld", f.u, f.w), (t * k, d))
+        z = ad.matmul(h, v_in) + ad.reshape(f.v[:, :, d], (t * k,))
+        h = ad.matmul(z * m_rep, uw_out)
         if i < len(factors) - 1:
             h = ad.relu(h)
     return h

@@ -91,10 +91,12 @@ def confusion_per_target(predictions: dict[str, float],
     """Tally confusion counts globally and per mentioned target."""
     per_target: dict[str, Counts] = {}
     overall = Counts()
-    for record in records:
-        if record.id not in predictions:
-            raise DataError(f"missing prediction for record '{record.id}'")
-        pred = int(decide(np.asarray([predictions[record.id]]), threshold)[0])
+    try:
+        scores = np.asarray([predictions[r.id] for r in records])
+    except KeyError as exc:
+        raise DataError(f"missing prediction for record '{exc.args[0]}'") from None
+    preds = decide(scores, threshold)
+    for record, pred in zip(records, preds.tolist()):
         slot = ("tp" if pred else "fn") if record.label == 1 else ("fp" if pred else "tn")
         buckets = [overall] + [per_target.setdefault(t, Counts()) for t in record.target_set]
         for counts in buckets:

@@ -87,9 +87,17 @@ class TestBackward:
         group = ParamGroup("g")
         w = group.add("W", np.ones((2, 2)))
         group.freeze()
-        loss = ad.tsum(ad.matmul(ad.constant(np.ones((1, 2))), w))
+        x = Tensor(np.arange(2.0).reshape(1, 2), requires_grad=True)
+        loss = ad.tsum(ad.matmul(x, w))
         ad.backward(loss)
         assert w.grad is None
+        np.testing.assert_array_equal(x.grad, np.ones((1, 2)) @ w.data.T)
+
+    def test_node_out_of_reach_of_gradients_keeps_no_tape(self):
+        a = Tensor(np.ones((2, 2)))
+        out = ad.relu(ad.matmul(a, a) + 1.0)
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
 
     @pytest.mark.parametrize("op", [
         lambda a, b: a + b,
@@ -168,6 +176,11 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, expit(x0), rtol=1e-15, atol=0)
         assert out.data[0] == 0.0 and out.data[-1] == 800.0
         assert x.grad[0] == 0.0 and x.grad[-1] == 1.0
+
+    def test_relu_passes_nan_through(self):
+        out = ad.relu(Tensor(np.asarray([np.nan, -1.0, 0.0, 2.0])))
+        assert np.isnan(out.data[0])
+        np.testing.assert_array_equal(out.data[1:], [0.0, 0.0, 2.0])
 
     def test_diamond_graph_accumulates_once_per_path(self):
         x = Tensor(np.asarray(3.0), requires_grad=True)

@@ -247,6 +247,18 @@ def non_finite_vectors(ws):
     return text_file(ws, "nan.txt", "".join(lines))
 
 
+def non_utf8(path):
+    """A copy of `path` with a last line holding the byte 0xff."""
+    copy = path.with_name("bad-" + path.name)
+    copy.write_bytes(path.read_bytes() + b"\xff\n")
+    return copy
+
+
+def train_args(ws, config):
+    return ["train", str(config), str(ws / "corpus.jsonl"), str(ws / "vectors.txt"),
+            "-o", str(ws / "r")]
+
+
 def eval_args(ws, checkpoint=None, corpus=None, vectors=None, split_manifest=None):
     args = ["eval", str(checkpoint or ws / "run" / "checkpoint.npz"),
             str(corpus or ws / "corpus.jsonl"), str(vectors or ws / "vectors.txt"),
@@ -292,6 +304,25 @@ MALFORMED_INPUTS = {
         ws, "id,score,label\ns000,high,1\n")),
     "metrics-threshold-2": (2, lambda ws: metrics_args(
         ws, "id,score,label\ns000,0.5,1\n", "--threshold", "2.0")),
+    "metrics-nan-score": (3, lambda ws: metrics_args(
+        ws, "id,score,label\ns000,nan,1\n")),
+    "metrics-inf-score": (3, lambda ws: metrics_args(
+        ws, "id,score,label\ns000,0.5,1\ns001,inf,0\n")),
+    "metrics-non-utf8-predictions": (3, lambda ws: [
+        "metrics", str(non_utf8(text_file(ws, "p.csv", "id,score,label\ns000,0.5,1\n"))),
+        str(ws / "corpus.jsonl"), "-o", str(ws / "m.json")]),
+    "eval-non-utf8-corpus": (3, lambda ws: eval_args(
+        ws, corpus=non_utf8(ws / "corpus.jsonl"))),
+    "eval-non-utf8-vectors": (3, lambda ws: eval_args(
+        ws, vectors=non_utf8(ws / "vectors.txt"))),
+    "train-non-utf8-config": (2, lambda ws: train_args(ws, non_utf8(ws / "train.cfg"))),
+    "train-misspelt-section": (2, lambda ws: train_args(
+        ws, text_file(ws, "t.cfg", TRAIN_CFG + "trian.lr = 5\n"))),
+    "train-key-without-section": (2, lambda ws: train_args(
+        ws, text_file(ws, "t.cfg", TRAIN_CFG + "lr = 7\n"))),
+    "synth-key-of-another-section": (2, lambda ws: [
+        "synth", str(text_file(ws, "s.cfg", SYNTH_SPEC + "train.lr = 5\n")),
+        "-o", str(ws / "c.jsonl")]),
 }
 
 

@@ -7,7 +7,7 @@ from fairfilter.errors import ConfigError
 def parse(tmp_path, text):
     p = tmp_path / "c.cfg"
     p.write_text(text)
-    return cfg.parse_kv_file(p)
+    return cfg.parse_kv_file(p, sections=("train", "split"))
 
 
 class TestParseKvFile:

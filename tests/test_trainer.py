@@ -118,6 +118,23 @@ class TestModel:
         np.testing.assert_array_equal(fwd, rev[::-1])
 
 
+    def test_predict_does_not_depend_on_batch_size(self):
+        records = tiny_records(40, targets=("a", "b", "c"))
+        scores = [tiny_model(tiny_config(batch_size=size),
+                             targets=("a", "b", "c")).predict(
+                                 records, tiny_indicators(("a", "b", "c")))
+                  for size in (7, 128)]
+        np.testing.assert_allclose(scores[0], scores[1], rtol=0, atol=1e-12)
+
+    def test_frozen_forward_builds_no_graph(self):
+        model = tiny_model()
+        for group in model.groups.values():
+            group.freeze()
+        losses = trainer.synergic_losses(model, tiny_records(10))
+        for loss in losses.values():
+            assert not loss.requires_grad and loss._parents == ()
+
+
 class TestPhases:
     def test_filter_phase_leaves_discriminator_bit_identical(self):
         model = tiny_model()
