@@ -49,14 +49,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
     def __sub__(self, other):
         return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
 
     def __mul__(self, other):
         return mul(self, _wrap(other))
@@ -66,15 +60,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
-    def __neg__(self):
-        return self * -1.0
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
 
     def __getitem__(self, idx):
         return tslice(self, idx)
@@ -396,17 +381,13 @@ def adam_step(group: ParamGroup, state: AdamState) -> None:
         t.grad = None
 
 
-def glorot_init(shape, seed) -> np.ndarray:
-    """Uniform Glorot draw in +-sqrt(6/(fan_in+fan_out)); seed-deterministic."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+def glorot_init(shape, rng: np.random.Generator) -> np.ndarray:
+    """Uniform Glorot draw in +-sqrt(6/(fan_in+fan_out)); fans are the first
+    and last dimensions."""
     shape = tuple(int(s) for s in shape)
     if any(s <= 0 for s in shape):
         raise DimensionError(f"glorot_init: non-positive shape {shape}")
-    if len(shape) >= 2:
-        fan_in, fan_out = shape[0], shape[-1]
-    else:
-        fan_in = fan_out = shape[0]
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    limit = np.sqrt(6.0 / (shape[0] + shape[-1]))
     return rng.uniform(-limit, limit, size=shape)
 
 
@@ -421,13 +402,13 @@ def init_mlp(name: str, dims: list[int], rng: np.random.Generator) -> ParamGroup
 
 def mlp_forward(x: Tensor, layers: ParamGroup) -> Tensor:
     """Apply an MLP stored as W0/b0..W{L-1}/b{L-1}, with ReLU between layers
-    and an affine readout; x is (n, d_in) or (d_in,)."""
+    and an affine readout; x is (n, d_in)."""
     n_layers = sum(1 for k in layers.tensors if k.startswith("W"))
     if n_layers == 0:
         raise DimensionError(f"group '{layers.name}' holds no layers")
-    squeeze = x.data.ndim == 1
-    if squeeze:
-        x = reshape(x, (1, -1))
+    if x.data.ndim != 2:
+        raise DimensionError(f"mlp_forward: '{layers.name}' expects (n, d_in) input, "
+                             f"got shape {x.shape}")
     h = x
     for i in range(n_layers):
         w, b = layers.tensors[f"W{i}"], layers.tensors[f"b{i}"]
@@ -438,6 +419,4 @@ def mlp_forward(x: Tensor, layers: ParamGroup) -> Tensor:
         h = matmul(h, w) + b
         if i < n_layers - 1:
             h = relu(h)
-    if squeeze:
-        h = reshape(h, (-1,))
     return h

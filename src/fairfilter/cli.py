@@ -307,6 +307,9 @@ def metrics_cmd(predictions, corpus, out, threshold):
             if not np.isfinite(score):
                 raise DataError(f"'{predictions}' line {reader.line_num}: "
                                 f"score {row['score']!r} is not finite")
+            if row["id"] in scores:
+                raise DataError(f"'{predictions}' line {reader.line_num}: "
+                                f"duplicate id '{row['id']}'")
             scores[row["id"]] = score
     if not scores:
         raise DataError(f"predictions file '{predictions}' is empty")

@@ -21,19 +21,14 @@ _TOKEN_SPLIT = re.compile(r"[\s_\-]+")
 
 @dataclass
 class WordVectorStore:
-    """Immutable token -> vector map loaded from a GloVe-style text file."""
+    """Immutable token -> vector map loaded from a GloVe-style text file;
+    tokens are case-folded."""
 
     vectors: dict[str, np.ndarray]
     dim: int
-    case_fold: bool = True
 
     def lookup(self, token: str) -> np.ndarray | None:
-        if self.case_fold:
-            token = token.lower()
-        return self.vectors.get(token)
-
-    def __len__(self) -> int:
-        return len(self.vectors)
+        return self.vectors.get(token.lower())
 
 
 @dataclass
@@ -46,9 +41,9 @@ class TargetIndicator:
     vector: np.ndarray
 
 
-def load_word_vectors(path, case_fold: bool = True) -> WordVectorStore:
+def load_word_vectors(path) -> WordVectorStore:
     """Parse a 'token v1 ... vD' text file; every line must share one D and
-    every entry must be finite."""
+    every entry must be finite. Tokens are stored lower-case."""
     vectors: dict[str, np.ndarray] = {}
     dim = None
     with open(path, "r", encoding="utf-8") as fh, utf8_or(DataError, path):
@@ -56,7 +51,6 @@ def load_word_vectors(path, case_fold: bool = True) -> WordVectorStore:
             parts = line.rstrip().split(" ")
             if len(parts) < 2:
                 raise DataError(f"line {line_no}: expected 'token v1 ... vD'")
-            token = parts[0]
             try:
                 vec = np.asarray([float(p) for p in parts[1:]], dtype=np.float64)
             except ValueError:
@@ -68,12 +62,10 @@ def load_word_vectors(path, case_fold: bool = True) -> WordVectorStore:
             elif len(vec) != dim:
                 raise DataError(
                     f"line {line_no}: vector has {len(vec)} entries, expected {dim}")
-            if case_fold:
-                token = token.lower()
-            vectors[token] = vec
+            vectors[parts[0].lower()] = vec
     if dim is None:
         raise DataError(f"word-vector file '{path}' is empty")
-    return WordVectorStore(vectors=vectors, dim=dim, case_fold=case_fold)
+    return WordVectorStore(vectors=vectors, dim=dim)
 
 
 def save_word_vectors(vectors: dict[str, np.ndarray], path) -> None:
@@ -138,12 +130,14 @@ class EncoderAdapter:
         return h
 
 
-def encode_posts(records, adapter: EncoderAdapter) -> Tensor:
-    """Stack the records' stored embeddings and run them through the adapter."""
-    rows = []
+def stack_embeddings(records) -> np.ndarray:
+    """The records' stored embeddings as one (n, d_in) array."""
     for r in records:
         if r.embedding is None:
             raise DataError(f"record '{r.id}' carries no embedding")
-        rows.append(r.embedding)
-    x = ad.constant(np.stack(rows))
-    return adapter.encode(x)
+    return np.stack([r.embedding for r in records])
+
+
+def encode_posts(records, adapter: EncoderAdapter) -> Tensor:
+    """Stack the records' stored embeddings and run them through the adapter."""
+    return adapter.encode(ad.constant(stack_embeddings(records)))

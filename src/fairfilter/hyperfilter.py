@@ -7,20 +7,22 @@ the concatenated [weight | bias] of that layer. Multi-target posts use the
 mean of the per-target matrices (parameter ensemble, not embedding fusion).
 
 Filters are applied in factored form and the d x (d+1) matrix is never
-built on the training or scoring paths. Each layer is affine in its
-parameters, so the ensemble of a post i with target set S_i is exactly
+built on the training or scoring paths. The generator forms P = (U W)^T,
+(K x d) per target, once; every consumer reads P and V. Each layer is
+affine in its parameters, so the ensemble of a post i with target set S_i
+is exactly
 
-    h_i <- sum_t M[i, t] * U_t W_t (V_t[:, :d] h_i + V_t[:, d]),
+    h_i <- sum_t M[i, t] * P_t^T (V_t[:, :d] h_i + V_t[:, d]),
 
 with M[i, t] = 1/|S_i| for t in S_i and 0 elsewhere. `apply_filter` runs
 this as two matrix products per layer over the T*K rank components of all
 targets side by side: z = h V' + b, with V' the (d, T*K) stack of the
-V_t[:, :d] and b that of the V_t[:, d]; then h = (z * M_rep) (UW)', with
-(UW)' the (T*K, d) stack of the U_t W_t and M_rep = M with each column
-repeated K times. The generator runs once per layer over a
-(T, indicator_dim) stack of indicators. The
-gap-alignment loss works in factor space too (`filter_gram`).
-`assemble_theta` is the only dense path; `export-filters` and tests use it.
+V_t[:, :d] and b that of the V_t[:, d]; then h = (z * M_rep) P', with P'
+the (T*K, d) stack of the P_t and M_rep = M with each column repeated K
+times. The generator runs once per layer over a (T, indicator_dim) stack
+of indicators. The gap-alignment loss works in factor space too
+(`filter_gram`). `assemble_theta` is the only dense path; `export-filters`
+and tests use it.
 """
 
 from __future__ import annotations
@@ -47,10 +49,9 @@ def dense_arity(d: int) -> int:
 
 @dataclass
 class LowRankFactors:
-    """The three generated factors of one filter layer for T targets."""
+    """One filter layer for T targets: P = (U W)^T and V."""
 
-    u: Tensor  # T x d x K
-    w: Tensor  # T x K x K
+    p: Tensor  # T x K x d
     v: Tensor  # T x K x (d+1)
 
 
@@ -74,20 +75,17 @@ class HyperFilter:
             self.group.add(f"L{layer}.W1", ad.glorot_init((hidden, arity), rng))
             self.group.add(f"L{layer}.b1", np.zeros(arity))
 
-    @property
-    def arity(self) -> int:
-        return factor_arity(self.d, self.rank)
-
     def generate_factors(self, indicators: np.ndarray, layer: int) -> LowRankFactors:
-        """Run generator `layer` on a (T, indicator_dim) stack; reshape U, W, V."""
+        """Run generator `layer` on a (T, indicator_dim) stack; reshape its flat
+        [U | W | V] output and form P = (U W)^T."""
         if layer < 0 or layer >= self.depth:
             raise DimensionError(f"layer {layer} out of range for depth {self.depth}")
         if indicators.ndim != 2 or indicators.shape[1] != self.indicator_dim:
             raise DimensionError(
                 f"indicators shape {indicators.shape} != (T, {self.indicator_dim})")
-        # einsum rather than BLAS matmul: each target's row is computed the
-        # same way whatever else is in the stack, so a target's filter is
-        # bitwise independent of the other targets generated with it
+        # einsum rather than BLAS matmul, here and for P: each target's row is
+        # computed the same way whatever else is in the stack, so a target's
+        # filter is bitwise independent of the other targets generated with it
         g = self.group.tensors
         h = ad.relu(ad.einsum("ti,ih->th", ad.constant(indicators), g[f"L{layer}.W0"])
                     + g[f"L{layer}.b0"])
@@ -96,7 +94,7 @@ class HyperFilter:
         u = ad.reshape(flat[:, :d * k], (t, d, k))
         w = ad.reshape(flat[:, d * k:d * k + k * k], (t, k, k))
         v = ad.reshape(flat[:, d * k + k * k:], (t, k, d + 1))
-        return LowRankFactors(u=u, w=w, v=v)
+        return LowRankFactors(p=ad.einsum("tdk,tkl->tld", u, w), v=v)
 
 
 def target_theta(hyper: HyperFilter, indicators: np.ndarray) -> list[LowRankFactors]:
@@ -106,8 +104,7 @@ def target_theta(hyper: HyperFilter, indicators: np.ndarray) -> list[LowRankFact
 
 def assemble_theta(factors: LowRankFactors) -> Tensor:
     """U W V, the (T, d, d+1) dense [weight | bias] of one layer, for inspection."""
-    uw = ad.einsum("tdk,tkl->tdl", factors.u, factors.w)
-    return ad.einsum("tdl,tlj->tdj", uw, factors.v)
+    return ad.einsum("tld,tlj->tdj", factors.p, factors.v)
 
 
 def membership(target_sets: Sequence[Collection[str]], names: Sequence[str]) -> np.ndarray:
@@ -149,13 +146,13 @@ def ensemble_params(hyper: HyperFilter, indicators: dict[str, np.ndarray],
 def apply_filter(s: Tensor, factors: list[LowRankFactors], mix: np.ndarray) -> Tensor:
     """Filter post embeddings s (n, d) through the factored layers.
 
-    Each target's layer is affine, U W (V[:, :d] h + V[:, d]); a post's
+    Each target's layer is affine, P^T (V[:, :d] h + V[:, d]); a post's
     output is the M-weighted sum over targets, computed as two matrix
     products over all targets' stacked rank components (module docstring).
     ReLU between layers, identity at the end so the output lives in the
     same space as s.
     """
-    t, d, k = factors[0].u.shape
+    t, k, d = factors[0].p.shape
     if s.data.ndim != 2 or s.data.shape[1] != d:
         raise DimensionError(f"apply_filter: embeddings shape {s.shape} vs d={d}")
     if mix.shape != (s.data.shape[0], t):
@@ -167,9 +164,8 @@ def apply_filter(s: Tensor, factors: list[LowRankFactors], mix: np.ndarray) -> T
     h = s
     for i, f in enumerate(factors):
         v_in = ad.reshape(ad.einsum("tkj->jtk", f.v[:, :, :d]), (d, t * k))
-        uw_out = ad.reshape(ad.einsum("tdk,tkl->tld", f.u, f.w), (t * k, d))
         z = ad.matmul(h, v_in) + ad.reshape(f.v[:, :, d], (t * k,))
-        h = ad.matmul(z * m_rep, uw_out)
+        h = ad.matmul(z * m_rep, ad.reshape(f.p, (t * k, d)))
         if i < len(factors) - 1:
             h = ad.relu(h)
     return h
@@ -178,13 +174,12 @@ def apply_filter(s: Tensor, factors: list[LowRankFactors], mix: np.ndarray) -> T
 def filter_gram(factors: list[LowRankFactors]) -> list[Tensor]:
     """Per layer, the (T, T) Frobenius inner products of the targets' U W V.
 
-    <P_a V_a, P_b V_b>_F = sum_kl (P_a^T P_b)_kl (V_a V_b^T)_kl with P = U W,
-    which costs O(T^2 K^2 d) instead of O(T^2 d^2).
+    <P_a^T V_a, P_b^T V_b>_F = sum_kl (P_a P_b^T)_kl (V_a V_b^T)_kl, which
+    costs O(T^2 K^2 d) instead of O(T^2 d^2).
     """
     grams = []
     for f in factors:
-        uw = ad.einsum("tdk,tkl->tdl", f.u, f.w)
-        left = ad.einsum("adk,bdl->abkl", uw, uw)
+        left = ad.einsum("akd,bld->abkl", f.p, f.p)
         right = ad.einsum("akj,blj->abkl", f.v, f.v)
         grams.append(ad.einsum("abkl,abkl->ab", left, right))
     return grams

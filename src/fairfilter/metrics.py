@@ -75,10 +75,6 @@ class EvalReport:
             "metadata": self.metadata,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "EvalReport":
-        return cls(**obj)
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json(), fh, indent=2, sort_keys=True)

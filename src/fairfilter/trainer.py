@@ -28,7 +28,7 @@ from . import objectives as obj
 from .autodiff import AdamState, ParamGroup, Tensor
 from .data import CorpusSplit, PostRecord
 from .embeddings import (EncoderAdapter, WordVectorStore, build_indicator,
-                         encode_posts)
+                         encode_posts, stack_embeddings)
 from .errors import (CheckpointError, ConfigError, DataError, DimensionError,
                      DivergenceError)
 from .heads import ClassifierHead, DiscriminatorHead
@@ -164,7 +164,7 @@ def _minibatches(records: list[PostRecord], batch_size: int,
 
 
 def _batch_stats(records: list[PostRecord]) -> dict:
-    embeddings = np.stack([r.embedding for r in records])
+    embeddings = stack_embeddings(records)
     return {"batch_size": len(records),
             "labels_mean": float(np.mean([r.label for r in records])),
             "embedding_absmax": float(np.max(np.abs(embeddings)))}
@@ -256,17 +256,17 @@ def _restore(model: Model, snapshot: dict[str, dict[str, np.ndarray]]) -> None:
 
 
 def fit(config: TrainConfig, split: CorpusSplit,
-        indicators: dict[str, np.ndarray], d_in: int | None = None) -> TrainState:
+        indicators: dict[str, np.ndarray]) -> TrainState:
     """Run the full alternating optimization and return the best snapshot.
 
-    `indicators` must cover every target mentioned in train and validation.
+    `indicators` must cover every target mentioned in train and validation,
+    and every train and validation record must carry an embedding.
     """
     config.validate()
     if not split.train:
         raise DataError("empty training split")
     seen = sorted({t for r in split.train for t in r.targets})
-    if d_in is None:
-        d_in = split.train[0].embedding.shape[0]
+    d_in = stack_embeddings(split.train + split.validation).shape[1]
     indicator_dim = len(next(iter(indicators.values())))
     model = Model(config, d_in, indicator_dim, seen, indicators)
     val_indicators = dict(model.indicators)
@@ -368,6 +368,11 @@ def checkpoint_load(path) -> Model:
                     f"checkpoint version {meta.get('version')} != {CHECKPOINT_VERSION}")
             config = TrainConfig(**meta["config"]).validate()
             indicators = {t: archive[f"indicator/{t}"] for t in meta["seen_targets"]}
+            for t, vector in indicators.items():
+                if vector.shape != (meta["indicator_dim"],):
+                    raise CheckpointError(
+                        f"checkpoint '{path}': indicator '{t}' has shape "
+                        f"{vector.shape}, expected ({meta['indicator_dim']},)")
             model = Model(config, meta["d_in"], meta["indicator_dim"],
                           meta["seen_targets"], indicators)
             for gname, group in model.groups.items():
@@ -387,26 +392,20 @@ def check_vector_width(model: Model, store: WordVectorStore) -> None:
                         f"indicators {model.indicator_dim}")
 
 
-def eval_indicators(model: Model, records: list[PostRecord],
-                    store: WordVectorStore | None
+def eval_indicators(model: Model, records: list[PostRecord], store: WordVectorStore
                     ) -> tuple[dict[str, np.ndarray], list[PostRecord], list[str]]:
     """Indicator table covering the records' targets, built on the fly.
 
     Unresolvable targets (no word vectors) exclude their records; returns
     (indicators, usable records, warning messages).
     """
-    if store is not None:
-        check_vector_width(model, store)
+    check_vector_width(model, store)
     indicators = dict(model.indicators)
     warnings_out: list[str] = []
     bad_targets: set[str] = set()
     for record in records:
         for t in record.target_set:
             if t in indicators or t in bad_targets:
-                continue
-            if store is None:
-                bad_targets.add(t)
-                warnings_out.append(f"target '{t}': no word-vector store supplied")
                 continue
             try:
                 ind = build_indicator(t, store)

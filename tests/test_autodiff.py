@@ -30,16 +30,16 @@ class TestMlpForward:
         group = ParamGroup("m")
         group.add("W0", np.eye(3))
         group.add("b0", np.zeros(3))
-        x = ad.constant([1.0, 2.0, 3.0])
+        x = ad.constant([[1.0, 2.0, 3.0]])
         out = ad.mlp_forward(x, group)
-        np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0]])
 
     def test_zero_weights_pass_bias(self):
         group = ParamGroup("m")
         group.add("W0", np.zeros((4, 1)))
         group.add("b0", np.asarray([0.7]))
-        out = ad.mlp_forward(ad.constant([9.0, -3.0, 2.0, 5.0]), group)
-        np.testing.assert_allclose(out.data, [0.7])
+        out = ad.mlp_forward(ad.constant([[9.0, -3.0, 2.0, 5.0]]), group)
+        np.testing.assert_allclose(out.data, [[0.7]])
 
     def test_two_layer_matches_straight_line_recomputation(self):
         rng = np.random.default_rng(42)
@@ -52,7 +52,7 @@ class TestMlpForward:
         group.add("b0", b0)
         group.add("W1", w1)
         group.add("b1", b1)
-        x = rng.normal(size=5)
+        x = rng.normal(size=(1, 5))
         out = ad.mlp_forward(ad.constant(x), group)
         # independent straight-line recomputation
         h = np.maximum(x @ w0 + b0, 0.0)
@@ -64,7 +64,9 @@ class TestMlpForward:
         group.add("W0", np.zeros((3, 2)))
         group.add("b0", np.zeros(2))
         with pytest.raises(DimensionError, match="layer 0"):
-            ad.mlp_forward(ad.constant(np.zeros(4)), group)
+            ad.mlp_forward(ad.constant(np.zeros((1, 4))), group)
+        with pytest.raises(DimensionError, match=r"expects \(n, d_in\)"):
+            ad.mlp_forward(ad.constant(np.zeros(3)), group)
 
 
 class TestBackward:
@@ -238,17 +240,17 @@ class TestAdam:
 
 class TestGlorotInit:
     def test_same_seed_is_bit_identical(self):
-        a = ad.glorot_init((20, 30), 5)
-        b = ad.glorot_init((20, 30), 5)
+        a = ad.glorot_init((20, 30), np.random.default_rng(5))
+        b = ad.glorot_init((20, 30), np.random.default_rng(5))
         assert np.array_equal(a, b)
 
     def test_values_within_bound(self):
-        t = ad.glorot_init((50, 70), 1)
+        t = ad.glorot_init((50, 70), np.random.default_rng(1))
         limit = np.sqrt(6.0 / 120)
         assert np.all(np.abs(t) <= limit)
 
     def test_empirical_mean_near_zero(self):
-        t = ad.glorot_init((1000, 100), 3)
+        t = ad.glorot_init((1000, 100), np.random.default_rng(3))
         limit = np.sqrt(6.0 / 1100)
         sigma = limit / np.sqrt(3.0)  # std of U(-limit, limit)
         assert abs(t.mean()) < 3 * sigma / np.sqrt(t.size)
@@ -259,7 +261,7 @@ class TestDeterminismAndFreeze:
         def run():
             rng = np.random.default_rng(11)
             group = ad.init_mlp("m", [4, 8, 2], rng)
-            x = ad.constant(np.linspace(-1, 1, 4))
+            x = ad.constant(np.linspace(-1, 1, 4)[None])
             out = ad.mlp_forward(x, group)
             loss = ad.tsum(out * out)
             ad.backward(loss)

@@ -206,6 +206,16 @@ def edit_checkpoint(ws, edit_meta=None, raw_meta=None):
     return path
 
 
+def short_indicator_checkpoint(ws):
+    """A copy of the trained checkpoint with one entry cut from an indicator."""
+    archive = dict(np.load(ws / "run" / "checkpoint.npz", allow_pickle=False))
+    archive["indicator/alpha"] = archive["indicator/alpha"][:-1]
+    path = ws / "short.npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, **archive)
+    return path
+
+
 def truncated_checkpoint(ws):
     blob = (ws / "run" / "checkpoint.npz").read_bytes()
     path = ws / "truncated.npz"
@@ -221,6 +231,17 @@ def mixed_width_corpus(ws):
     path = ws / "mixed.jsonl"
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def text_only_corpus(ws):
+    """The corpus with each post's embedding replaced by text."""
+    lines = []
+    for line in (ws / "corpus.jsonl").read_text().splitlines():
+        record = json.loads(line)
+        record.pop("embedding")
+        record["text"] = "a post"
+        lines.append(json.dumps(record) + "\n")
+    return text_file(ws, "text.jsonl", "".join(lines))
 
 
 def narrow_vectors(ws):
@@ -275,6 +296,9 @@ MALFORMED_INPUTS = {
     "train-mixed-embedding-widths": (3, lambda ws: [
         "train", str(ws / "train.cfg"), str(mixed_width_corpus(ws)),
         str(ws / "vectors.txt"), "-o", str(ws / "r")]),
+    "train-corpus-without-embeddings": (3, lambda ws: [
+        "train", str(ws / "train.cfg"), str(text_only_corpus(ws)),
+        str(ws / "vectors.txt"), "-o", str(ws / "r")]),
     "eval-mixed-embedding-widths": (3, lambda ws: eval_args(
         ws, corpus=mixed_width_corpus(ws))),
     "eval-vectors-narrower-than-indicators": (3, lambda ws: eval_args(
@@ -288,6 +312,11 @@ MALFORMED_INPUTS = {
         ws, lambda meta: meta.pop("seen_targets")))),
     "checkpoint-corrupt-meta": (5, lambda ws: eval_args(ws, checkpoint=edit_checkpoint(
         ws, raw_meta="{not json"))),
+    "checkpoint-short-indicator": (5, lambda ws: eval_args(
+        ws, checkpoint=short_indicator_checkpoint(ws))),
+    "export-checkpoint-short-indicator": (5, lambda ws: [
+        "export-filters", str(short_indicator_checkpoint(ws)), str(ws / "vectors.txt"),
+        "gamma", "-o", str(ws / "f.json")]),
     "checkpoint-truncated": (5, lambda ws: eval_args(
         ws, checkpoint=truncated_checkpoint(ws))),
     "checkpoint-rank-0": (5, lambda ws: eval_args(ws, checkpoint=edit_checkpoint(
@@ -304,6 +333,8 @@ MALFORMED_INPUTS = {
         ws, "id,score,label\ns000,high,1\n")),
     "metrics-threshold-2": (2, lambda ws: metrics_args(
         ws, "id,score,label\ns000,0.5,1\n", "--threshold", "2.0")),
+    "metrics-duplicate-id": (3, lambda ws: metrics_args(
+        ws, "id,score,label\ns000,0.9,1\ns000,0.1,1\n")),
     "metrics-nan-score": (3, lambda ws: metrics_args(
         ws, "id,score,label\ns000,nan,1\n")),
     "metrics-inf-score": (3, lambda ws: metrics_args(

@@ -16,7 +16,7 @@ class TestLoadWordVectors:
         write_vectors(p, ["cat 0.1 0.2 0.3", "dog -1.0 0.0 2.5"])
         store = emb.load_word_vectors(p)
         assert store.dim == 3
-        assert len(store) == 2
+        assert len(store.vectors) == 2
         np.testing.assert_allclose(store.lookup("dog"), [-1.0, 0.0, 2.5])
 
     def test_case_folding_on_lookup(self, tmp_path):

@@ -42,22 +42,21 @@ class TestGenerateFactors:
     def test_shapes(self):
         hyper = make_hyper()
         f = hyper.generate_factors(np.ones((2, 3)), 0)
-        assert f.u.data.shape == (2, 6, 2)
-        assert f.w.data.shape == (2, 2, 2)
+        assert f.p.data.shape == (2, 2, 6)
         assert f.v.data.shape == (2, 2, 7)
 
     def test_reshape_order_is_u_then_w_then_v(self):
         # overwrite the generator so its flat output is 0..arity-1
         hyper = make_hyper(d=3, rank=2, depth=1, indicator_dim=2, hidden=2)
-        arity = hyper.arity
+        arity = hf.factor_arity(3, 2)
         g = hyper.group.tensors
         g["L0.W0"].data[:] = 0.0
         g["L0.b0"].data[:] = 0.0
         g["L0.W1"].data[:] = 0.0
         g["L0.b1"].data[:] = np.arange(arity, dtype=np.float64)
         f = hyper.generate_factors(np.zeros((1, 2)), 0)
-        np.testing.assert_array_equal(f.u.data[0], np.arange(6).reshape(3, 2))
-        np.testing.assert_array_equal(f.w.data[0], np.arange(6, 10).reshape(2, 2))
+        u, w = np.arange(6.0).reshape(3, 2), np.arange(6.0, 10.0).reshape(2, 2)
+        np.testing.assert_array_equal(f.p.data[0], (u @ w).T)
         np.testing.assert_array_equal(f.v.data[0], np.arange(10, 18).reshape(2, 4))
 
     def test_bad_layer_and_indicator_shape(self):
@@ -80,7 +79,7 @@ class TestGenerateFactors:
         t1 = hf.target_theta(hyper, stack([0.1, -0.2, 0.3]))
         t2 = hf.target_theta(hyper, stack([0.1, -0.2, 0.3]))
         for a, b in zip(t1, t2):
-            for name in ("u", "w", "v"):
+            for name in ("p", "v"):
                 assert getattr(a, name).data.tobytes() == getattr(b, name).data.tobytes()
 
 
@@ -95,7 +94,7 @@ class TestEnsembleParams:
         single, mix = hf.ensemble_params(hyper, ind, [{"t0"}] * 3)
         direct = hf.target_theta(hyper, stack(ind["t0"]))
         for a, b in zip(single, direct):
-            for name in ("u", "w", "v"):
+            for name in ("p", "v"):
                 np.testing.assert_array_equal(getattr(a, name).data,
                                               getattr(b, name).data)
         np.testing.assert_array_equal(mix, np.ones((3, 1)))
@@ -123,7 +122,7 @@ class TestEnsembleParams:
             hyper, dict(sorted(ind.items(), reverse=True)), sets)
         assert mix_fwd.tobytes() == mix_rev.tobytes()
         for a, b in zip(fwd, rev):
-            for name in ("u", "w", "v"):
+            for name in ("p", "v"):
                 assert getattr(a, name).data.tobytes() == getattr(b, name).data.tobytes()
         # a target named twice in one post counts once
         s = ad.constant(np.random.default_rng(2).normal(size=(2, 6)))
@@ -147,7 +146,7 @@ class TestEnsembleParams:
         sets = [{"t0"}, {"t0", "t1"}, {"t2", "t3", "t1"}, {"t0"}, {"t3"}]
         factors, mix = hf.ensemble_params(hyper, ind, sets)
         assert calls == [(4, 3)] * hyper.depth
-        assert all(f.u.data.shape[0] == 4 for f in factors)
+        assert all(f.p.data.shape[0] == 4 for f in factors)
         assert mix.shape == (5, 4)
 
     def test_empty_target_set_rejected(self):
@@ -166,10 +165,10 @@ class TestEnsembleParams:
 
 
 def dense_as_factors(*thetas):
-    """Factors with U = W = I and V = theta, so U W V is exactly theta (K = d)."""
+    """Factors with P = I and V = theta, so U W V is exactly theta (K = d)."""
     d = thetas[0].shape[0]
     eye = ad.constant(np.eye(d)[None])
-    return [hf.LowRankFactors(u=eye, w=eye, v=ad.constant(np.asarray(t)[None]))
+    return [hf.LowRankFactors(p=eye, v=ad.constant(np.asarray(t)[None]))
             for t in thetas]
 
 

@@ -185,7 +185,7 @@ class TestBuildReport:
         path = tmp_path / "report.json"
         report.save(path)
         import json
-        loaded = metrics.EvalReport.from_json(json.loads(path.read_text()))
+        loaded = metrics.EvalReport(**json.loads(path.read_text()))
         assert loaded == report
 
     def test_flags_surface_degenerate_inputs(self):

@@ -5,7 +5,7 @@ from fairfilter import autodiff as ad
 from fairfilter import trainer
 from fairfilter.data import CorpusSplit, PostRecord
 from fairfilter.embeddings import WordVectorStore
-from fairfilter.errors import CheckpointError, ConfigError, DivergenceError
+from fairfilter.errors import CheckpointError, ConfigError, DataError, DivergenceError
 from fairfilter.trainer import Model, TrainConfig
 
 
@@ -219,6 +219,15 @@ class TestFit:
         split.validation[0] = PostRecord(id="odd", targets=("ghost",), label=0,
                                          embedding=np.zeros(4))
         with pytest.raises(ConfigError, match="ghost"):
+            trainer.fit(tiny_config(), split, tiny_indicators())
+
+    def test_record_without_embedding_rejected_before_training(self, monkeypatch):
+        split = tiny_split()
+        split.validation[-1] = PostRecord(id="bare", targets=("a",), label=0,
+                                          text="a post")
+        monkeypatch.setattr(trainer, "phase_discriminator",
+                            lambda *args: pytest.fail("training started"))
+        with pytest.raises(DataError, match="record 'bare' carries no embedding"):
             trainer.fit(tiny_config(), split, tiny_indicators())
 
     def test_telemetry_csv(self, tmp_path):
