@@ -204,7 +204,7 @@ def eval_cmd(checkpoint, corpus, vectors, out_dir, split_manifest, split_name):
     if not usable:
         raise DataError("all records excluded (unresolvable targets)")
     scores = model.predict(usable, indicators)
-    predictions = {r.id: float(s) for r, s in zip(usable, scores)}
+    split = split_name if split_manifest else None
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -212,11 +212,11 @@ def eval_cmd(checkpoint, corpus, vectors, out_dir, split_manifest, split_name):
     with open(pred_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "score", "label"])
-        for r in usable:
-            writer.writerow([r.id, repr(predictions[r.id]), r.label])
-    report = build_report(predictions, usable,
+        for r, score in zip(usable, scores.tolist()):
+            writer.writerow([r.id, repr(score), r.label])
+    report = build_report(scores, usable,
                           threshold=model.config.threshold,
-                          metadata={"split": split_name,
+                          metadata={"split": split,
                                     "checkpoint": str(checkpoint),
                                     "seed": model.config.seed,
                                     "excluded_records": len(records) - len(usable),
@@ -227,7 +227,7 @@ def eval_cmd(checkpoint, corpus, vectors, out_dir, split_manifest, split_name):
     if split_manifest:
         inputs.append(split_manifest)
     _write_manifest(out / "manifest.json", "eval",
-                    {"split": split_name, "threshold": model.config.threshold},
+                    {"split": split, "threshold": model.config.threshold},
                     inputs, [pred_path, report_path],
                     seed=model.config.seed, warnings=warn)
     click.echo(f"accuracy={report.accuracy:.4f} f1={report.f1:.4f} "
@@ -317,7 +317,7 @@ def metrics_cmd(predictions, corpus, out, threshold):
     missing = set(scores) - {r.id for r in records}
     if missing:
         raise DataError(f"prediction ids missing from corpus: {sorted(missing)[:5]} ...")
-    report = build_report(scores, records, threshold=threshold,
+    report = build_report([scores[r.id] for r in records], records, threshold=threshold,
                           metadata={"source": str(predictions)})
     report.save(out)
     _write_manifest(str(out) + ".manifest.json", "metrics",

@@ -7,11 +7,12 @@ embedding, targets (non-empty list of names), label (0/1).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Collection, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, utf8_or
+from .errors import ConfigError, DataError, GraphError, utf8_or
 
 
 @dataclass
@@ -48,6 +49,24 @@ class PostRecord:
         return out
 
 
+def membership(target_sets: Sequence[Collection[str]], names: Sequence[str]) -> np.ndarray:
+    """The (n, T) 0/1 matrix of which of `names` each post's target set names.
+
+    A name repeated within a set counts once. An unknown name raises
+    ConfigError, an empty set GraphError.
+    """
+    column = {name: j for j, name in enumerate(names)}
+    out = np.zeros((len(target_sets), len(names)))
+    for row, tset in zip(out, target_sets):
+        if not tset:
+            raise GraphError("empty target set")
+        for t in tset:
+            if t not in column:
+                raise ConfigError(f"unknown target '{t}'")
+            row[column[t]] = 1.0
+    return out
+
+
 @dataclass
 class SplitSpec:
     """How to carve a corpus into train/validation/test around unseen targets."""
@@ -66,6 +85,8 @@ class SplitSpec:
             raise ConfigError(f"targets cannot be both seen and unseen: {sorted(overlap)}")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ConfigError("validation_fraction must lie in (0, 1)")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         return self
 
 
@@ -83,8 +104,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self) -> "SyntheticSpec":
-        if self.n_posts < 0:
-            raise ConfigError("n_posts must be >= 0")
+        if self.n_posts < 0 or self.seed < 0:
+            raise ConfigError("n_posts and seed must be >= 0")
         if not self.target_names:
             raise ConfigError("target_names must be non-empty")
         missing = [t for t in self.target_names if t not in self.label_rates]

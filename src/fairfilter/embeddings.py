@@ -95,6 +95,8 @@ def build_indicator(name: str, store: WordVectorStore) -> TargetIndicator:
     if not vecs:
         raise DataError(f"target '{name}': no tokens resolvable in the word-vector store")
     vector = np.mean(vecs, axis=0)
+    if not np.any(vector):
+        raise DataError(f"target '{name}': its word vectors average to all zeros")
     return TargetIndicator(name=name, tokens=found, skipped=skipped, vector=vector)
 
 
@@ -107,7 +109,6 @@ class EncoderAdapter:
 
     def __init__(self, d_in: int, d_out: int, rng, depth: int = 1):
         self.d_in = d_in
-        self.d_out = d_out
         self.depth = depth
         self.group = ParamGroup("enc")
         dims = [d_in] + [d_out] * depth

@@ -23,7 +23,6 @@ class DiscriminatorHead:
     def __init__(self, d: int, n_targets: int, rng, hidden: int = 256):
         if n_targets < 1:
             raise DimensionError("discriminator needs at least one target")
-        self.n_targets = n_targets
         self.group = ad.init_mlp("dis", [d, hidden, hidden, n_targets], rng)
 
     def forward(self, s: Tensor) -> Tensor:

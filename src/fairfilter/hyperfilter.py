@@ -34,7 +34,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamGroup, Tensor
-from .errors import ConfigError, DimensionError, GraphError
+from .data import membership
+from .errors import DimensionError, GraphError
 
 
 def factor_arity(d: int, rank: int) -> int:
@@ -66,7 +67,6 @@ class HyperFilter:
         self.rank = rank
         self.depth = depth
         self.indicator_dim = indicator_dim
-        self.hidden = hidden
         self.group = ParamGroup("hyper")
         arity = factor_arity(d, rank)
         for layer in range(depth):
@@ -105,24 +105,6 @@ def target_theta(hyper: HyperFilter, indicators: np.ndarray) -> list[LowRankFact
 def assemble_theta(factors: LowRankFactors) -> Tensor:
     """U W V, the (T, d, d+1) dense [weight | bias] of one layer, for inspection."""
     return ad.einsum("tld,tlj->tdj", factors.p, factors.v)
-
-
-def membership(target_sets: Sequence[Collection[str]], names: Sequence[str]) -> np.ndarray:
-    """The (n, T) 0/1 matrix of which of `names` each post's target set names.
-
-    A name repeated within a set counts once. An unknown name raises
-    ConfigError, an empty set GraphError.
-    """
-    column = {name: j for j, name in enumerate(names)}
-    out = np.zeros((len(target_sets), len(names)))
-    for row, tset in zip(out, target_sets):
-        if not tset:
-            raise GraphError("empty target set")
-        for t in tset:
-            if t not in column:
-                raise ConfigError(f"unknown target '{t}'")
-            row[column[t]] = 1.0
-    return out
 
 
 def ensemble_params(hyper: HyperFilter, indicators: dict[str, np.ndarray],

@@ -1,21 +1,26 @@
 """Per-target confusion statistics, equality-difference fairness metrics,
 harmonic fairness, and standard classification metrics.
 
-A post counts toward the global tallies once and toward the tallies of every
-target it mentions; targets lacking the positives/negatives needed for a
-rate are excluded from that metric's mean (with the normalizer reduced) and
-flagged in the report.
+Scores are aligned with records: scores[i] is the score of records[i]. The
+confusion counts are tallied once, as one matrix product: each post's row
+[1 | membership] (the 1 for the global tally, then a 1 for every target the
+post mentions) times its one-hot tp/fp/tn/fn indicator. A post thus counts
+toward the global tallies once and toward the tallies of every target it
+mentions; accuracy and F1 come from the global tally. Targets lacking the
+positives/negatives needed for a rate are excluded from that metric's mean
+(with the normalizer reduced) and flagged in the report.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.stats import rankdata
 
-from .data import PostRecord
+from .data import PostRecord, membership
 from .errors import DataError
 from .heads import decide
 
@@ -60,44 +65,27 @@ class EvalReport:
     flags: list[str]
     metadata: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "f1": self.f1,
-            "auc": self.auc,
-            "nfped": self.nfped,
-            "nfned": self.nfned,
-            "hf": self.hf,
-            "per_target": self.per_target,
-            "excluded_fpr": self.excluded_fpr,
-            "excluded_fnr": self.excluded_fnr,
-            "flags": self.flags,
-            "metadata": self.metadata,
-        }
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
-def confusion_per_target(predictions: dict[str, float],
-                         records: list[PostRecord],
+def confusion_per_target(scores: Sequence[float], records: list[PostRecord],
                          threshold: float = 0.5) -> ConfusionByTarget:
-    """Tally confusion counts globally and per mentioned target."""
-    per_target: dict[str, Counts] = {}
-    overall = Counts()
-    try:
-        scores = np.asarray([predictions[r.id] for r in records])
-    except KeyError as exc:
-        raise DataError(f"missing prediction for record '{exc.args[0]}'") from None
+    """Tally confusion counts globally and per mentioned target, in one product."""
+    if len(scores) != len(records):
+        raise DataError(f"{len(scores)} scores for {len(records)} records")
     preds = decide(scores, threshold)
-    for record, pred in zip(records, preds.tolist()):
-        slot = ("tp" if pred else "fn") if record.label == 1 else ("fp" if pred else "tn")
-        buckets = [overall] + [per_target.setdefault(t, Counts()) for t in record.target_set]
-        for counts in buckets:
-            setattr(counts, slot, getattr(counts, slot) + 1)
-    return ConfusionByTarget(per_target=per_target, overall=overall)
+    labels = np.asarray([r.label for r in records], dtype=int)
+    # columns in Counts field order: tp, fp, tn, fn
+    hit = np.stack([labels * preds, (1 - labels) * preds,
+                    (1 - labels) * (1 - preds), labels * (1 - preds)], axis=1)
+    names = sorted({t for r in records for t in r.targets})
+    rows = np.hstack([np.ones((len(records), 1)),
+                      membership([r.targets for r in records], names)])
+    overall, *per_target = (Counts(*row) for row in (rows.T @ hit).astype(int).tolist())
+    return ConfusionByTarget(per_target=dict(zip(names, per_target)), overall=overall)
 
 
 def equality_differences(confusion: ConfusionByTarget
@@ -136,49 +124,36 @@ def harmonic_fairness(nfped: float, nfned: float) -> float:
     return 2.0 * nfped * nfned / (nfped + nfned)
 
 
-def classification_metrics(scores: np.ndarray, labels: np.ndarray,
-                           threshold: float = 0.5
-                           ) -> tuple[float, float, float | None]:
-    """Accuracy and F1 (positive class = hateful) at the threshold, plus AUC.
-
-    AUC uses the rank statistic with averaged ranks for ties; it is None when
-    only one class is present.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
+def rank_auc(scores: Sequence[float], labels: Sequence[int]) -> float | None:
+    """AUC as the rank statistic with averaged ranks for ties; None when only
+    one class is present."""
     labels = np.asarray(labels, dtype=int)
-    if scores.size == 0:
-        raise DataError("classification_metrics on an empty evaluation set")
-    preds = decide(scores, threshold)
-    accuracy = float(np.mean(preds == labels))
-    tp = int(np.sum((preds == 1) & (labels == 1)))
-    fp = int(np.sum((preds == 1) & (labels == 0)))
-    fn = int(np.sum((preds == 0) & (labels == 1)))
-    f1 = 2.0 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
     n_pos = int(np.sum(labels == 1))
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        return accuracy, f1, None
-    ranks = rankdata(scores)
-    auc = (float(np.sum(ranks[labels == 1])) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-    return accuracy, f1, auc
+        return None
+    ranks = rankdata(np.asarray(scores, dtype=np.float64))
+    return (float(np.sum(ranks[labels == 1])) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def build_report(predictions: dict[str, float], records: list[PostRecord],
+def build_report(scores: Sequence[float], records: list[PostRecord],
                  threshold: float = 0.5, metadata: dict | None = None) -> EvalReport:
-    """Assemble the full evaluation report over a record list."""
-    confusion = confusion_per_target(predictions, records, threshold)
+    """Assemble the full evaluation report; scores[i] scores records[i].
+
+    Accuracy and F1 (positive class = hateful) are read from the global tally.
+    """
+    if not records:
+        raise DataError("build_report on an empty evaluation set")
+    confusion = confusion_per_target(scores, records, threshold)
     nfped, nfned, excluded_fpr, excluded_fnr = equality_differences(confusion)
     hf = harmonic_fairness(nfped, nfned)
-    scores = np.asarray([predictions[r.id] for r in records])
-    labels = np.asarray([r.label for r in records])
-    accuracy, f1, auc = classification_metrics(scores, labels, threshold)
-    per_target = {}
-    for name in sorted(confusion.per_target):
-        counts = confusion.per_target[name]
-        per_target[name] = {
-            "tp": counts.tp, "fp": counts.fp, "tn": counts.tn, "fn": counts.fn,
-            "fpr": counts.fpr(), "fnr": counts.fnr(),
-        }
+    overall = confusion.overall
+    accuracy = (overall.tp + overall.tn) / overall.total
+    f1_denominator = 2 * overall.tp + overall.fp + overall.fn
+    f1 = 2.0 * overall.tp / f1_denominator if f1_denominator else 0.0
+    auc = rank_auc(scores, [r.label for r in records])
+    per_target = {name: {**asdict(counts), "fpr": counts.fpr(), "fnr": counts.fnr()}
+                  for name, counts in confusion.per_target.items()}
     flags = []
     if auc is None:
         flags.append("auc_undefined_single_class")

@@ -26,7 +26,7 @@ from . import autodiff as ad
 from . import hyperfilter as hf
 from . import objectives as obj
 from .autodiff import AdamState, ParamGroup, Tensor
-from .data import CorpusSplit, PostRecord
+from .data import CorpusSplit, PostRecord, membership
 from .embeddings import (EncoderAdapter, WordVectorStore, build_indicator,
                          encode_posts, stack_embeddings)
 from .errors import (CheckpointError, ConfigError, DataError, DimensionError,
@@ -67,10 +67,11 @@ class TrainConfig:
             raise ConfigError("config values must be finite")
         if self.lam < 0 or self.gamma < 0 or self.mu < 0:
             raise ConfigError("loss coefficients must be non-negative")
-        if self.rank < 1 or self.depth < 1 or self.hidden_dim < 1:
-            raise ConfigError("rank, depth, and hidden_dim must be >= 1")
-        if self.n_dis < 0 or self.n_filter < 0:
-            raise ConfigError("epoch counts must be >= 0")
+        if min(self.rank, self.depth, self.adapter_depth, self.hidden_dim,
+               self.hyper_hidden, self.head_hidden) < 1:
+            raise ConfigError("rank, depth, adapter_depth and hidden widths must be >= 1")
+        if min(self.n_dis, self.n_filter, self.patience, self.seed) < 0:
+            raise ConfigError("epoch counts, patience and seed must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.lr <= 0 or self.lr_dis <= 0:
@@ -111,7 +112,7 @@ class Model:
                 "dis": self.discriminator.group, "hate": self.classifier.group}
 
     def multi_hot(self, records: list[PostRecord]) -> np.ndarray:
-        return hf.membership([r.targets for r in records], self.seen_targets)
+        return membership([r.targets for r in records], self.seen_targets)
 
     def filter_batch(self, records: list[PostRecord],
                      indicators: dict[str, np.ndarray] | None = None
@@ -290,8 +291,7 @@ def fit(config: TrainConfig, split: CorpusSplit,
 
         if split.validation:
             scores = model.predict(split.validation, val_indicators)
-            report = build_report({r.id: s for r, s in zip(split.validation, scores)},
-                                  split.validation, threshold=config.threshold)
+            report = build_report(scores, split.validation, threshold=config.threshold)
             composite = report.f1 - report.hf
             state.val_history.append({
                 "round": round_no, "val_f1": report.f1, "val_hf": report.hf,
@@ -359,7 +359,8 @@ def checkpoint_load(path) -> Model:
     Any unreadable, incomplete or inconsistent archive raises CheckpointError.
     """
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        # np.load leaves an unreadable archive's file open; the with block closes it
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
             if "__meta__" not in archive:
                 raise CheckpointError(f"checkpoint '{path}' lacks a header")
             meta = json.loads(str(archive["__meta__"]))

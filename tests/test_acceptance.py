@@ -87,7 +87,7 @@ def test_metric_oracle_brute_force(announce):
                                   label=int(rng.integers(0, 2)),
                                   embedding=np.zeros(1)))
     predictions = {r.id: float(rng.random()) for r in records}
-    report = build_report(predictions, records)
+    report = build_report([predictions[r.id] for r in records], records)
     nfped, nfned, hf_val = brute_force_fairness(predictions, records)
     assert abs(report.nfped - nfped) < 1e-12
     assert abs(report.nfned - nfned) < 1e-12
@@ -213,8 +213,7 @@ def desk_run(split, indicators, lam, gamma, mu, seed):
                          patience=5, lr=1e-3, lr_dis=3e-3, seed=seed)
     state = fit(config, split, indicators)
     scores = state.model.predict(split.test, indicators)
-    return build_report({r.id: float(s) for r, s in zip(split.test, scores)},
-                        split.test)
+    return build_report(scores, split.test)
 
 
 def test_desk_scale_debiasing_experiment(announce):

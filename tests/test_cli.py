@@ -175,6 +175,20 @@ class TestEval:
         manifest = json.loads((workspace / "run" / "split_manifest.json").read_text())
         assert len(lines) - 1 == len(manifest["test"])
 
+    def test_split_without_manifest_is_recorded_as_none(self, workspace, runner):
+        out = workspace / "eval"
+        res = runner.invoke(main, [
+            "eval", str(workspace / "run" / "checkpoint.npz"),
+            str(workspace / "corpus.jsonl"), str(workspace / "vectors.txt"),
+            "-o", str(out), "--split", "validation"])
+        assert res.exit_code == 0, res.output
+        report = json.loads((out / "report.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        # the whole corpus was scored, so no split was used
+        assert report["metadata"]["n_records"] == 160
+        assert report["metadata"]["split"] is None
+        assert manifest["config"]["split"] is None
+
     def test_unknown_split_exits_2(self, workspace, runner):
         res = runner.invoke(main, [
             "eval", str(workspace / "run" / "checkpoint.npz"),
@@ -257,15 +271,15 @@ def text_file(ws, name, text):
     return path
 
 
-def non_finite_vectors(ws):
-    """The vectors with every entry of the unseen target's token set to nan."""
+def filled_vectors(ws, target, entry):
+    """The vectors with every entry of `target`'s token set to `entry`."""
     lines = []
     for line in (ws / "vectors.txt").read_text().splitlines():
         token, *entries = line.split(" ")
-        if token == "gamma":
-            line = " ".join([token] + ["nan"] * len(entries))
+        if token == target:
+            line = " ".join([token] + [entry] * len(entries))
         lines.append(line + "\n")
-    return text_file(ws, "nan.txt", "".join(lines))
+    return text_file(ws, f"{target}-{entry}.txt", "".join(lines))
 
 
 def non_utf8(path):
@@ -275,9 +289,21 @@ def non_utf8(path):
     return copy
 
 
-def train_args(ws, config):
-    return ["train", str(config), str(ws / "corpus.jsonl"), str(ws / "vectors.txt"),
-            "-o", str(ws / "r")]
+def train_args(ws, config, vectors=None):
+    return ["train", str(config), str(ws / "corpus.jsonl"),
+            str(vectors or ws / "vectors.txt"), "-o", str(ws / "r")]
+
+
+def with_line(text, line):
+    """`text` with `line` in place of the line that sets the same key, or
+    appended if none does; appending a key already set would be a duplicate."""
+    key = line.split("=")[0].strip()
+    kept = [old for old in text.splitlines() if old.split("=")[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
+
+
+def train_cfg_args(ws, line):
+    return train_args(ws, text_file(ws, "t.cfg", with_line(TRAIN_CFG, line)))
 
 
 def eval_args(ws, checkpoint=None, corpus=None, vectors=None, split_manifest=None):
@@ -324,7 +350,12 @@ MALFORMED_INPUTS = {
     "checkpoint-threshold-2": (5, lambda ws: eval_args(ws, checkpoint=edit_checkpoint(
         ws, lambda meta: meta["config"].update(threshold=2.0)))),
     "eval-non-finite-unseen-vector": (3, lambda ws: eval_args(
-        ws, vectors=non_finite_vectors(ws))),
+        ws, vectors=filled_vectors(ws, "gamma", "nan"))),
+    "train-zero-seen-vector": (3, lambda ws: train_args(
+        ws, ws / "train.cfg", vectors=filled_vectors(ws, "alpha", "0"))),
+    "export-zero-unseen-vector": (3, lambda ws: [
+        "export-filters", str(ws / "run" / "checkpoint.npz"),
+        str(filled_vectors(ws, "gamma", "0")), "gamma", "-o", str(ws / "f.json")]),
     "eval-split-manifest-not-json": (3, lambda ws: eval_args(
         ws, split_manifest=text_file(ws, "s.json", "{not json"))),
     "eval-split-manifest-ids-not-a-list": (3, lambda ws: eval_args(
@@ -351,6 +382,16 @@ MALFORMED_INPUTS = {
         ws, text_file(ws, "t.cfg", TRAIN_CFG + "trian.lr = 5\n"))),
     "train-key-without-section": (2, lambda ws: train_args(
         ws, text_file(ws, "t.cfg", TRAIN_CFG + "lr = 7\n"))),
+    "train-seed-negative": (2, lambda ws: train_cfg_args(ws, "train.seed = -1")),
+    "train-split-seed-negative": (2, lambda ws: train_cfg_args(ws, "split.seed = -1")),
+    "train-hidden-width-0": (2, lambda ws: train_cfg_args(ws, "train.hyper_hidden = 0")),
+    "train-adapter-depth-0": (2, lambda ws: train_cfg_args(ws, "train.adapter_depth = 0")),
+    "train-patience-negative": (2, lambda ws: train_cfg_args(ws, "train.patience = -1")),
+    "checkpoint-adapter-depth-0": (5, lambda ws: eval_args(ws, checkpoint=edit_checkpoint(
+        ws, lambda meta: meta["config"].update(adapter_depth=0)))),
+    "synth-seed-negative": (2, lambda ws: [
+        "synth", str(text_file(ws, "s.cfg", with_line(SYNTH_SPEC, "synth.seed = -1"))),
+        "-o", str(ws / "c.jsonl")]),
     "synth-key-of-another-section": (2, lambda ws: [
         "synth", str(text_file(ws, "s.cfg", SYNTH_SPEC + "train.lr = 5\n")),
         "-o", str(ws / "c.jsonl")]),

@@ -140,6 +140,10 @@ class TestMakeSplit:
         with pytest.raises(ConfigError):
             SplitSpec(seen_targets=["a"], unseen_targets=["a"]).validate()
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            SplitSpec(seen_targets=["a"], unseen_targets=["b"], seed=-1).validate()
+
 
 def small_spec(**kwargs):
     defaults = dict(n_posts=50, target_names=["a", "b"],
@@ -200,6 +204,10 @@ class TestSynthGenerate:
         with pytest.raises(ConfigError):
             small_spec(label_rates={"a": 0.0, "b": 0.5}).validate()
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            small_spec(seed=-1).validate()
+
     def test_target_recovery_unaffected_by_bias(self):
         # the label-free residual identifies mentioned targets whether or
         # not the label is coupled to the target directions
@@ -243,6 +251,5 @@ class TestPlantedDisparity:
                              seed=0, lr=1e-3, lr_dis=3e-3)
         state = fit(config, split, synth_indicators(spec))
         scores = state.model.predict(split.test, synth_indicators(spec))
-        report = build_report({r.id: float(s) for r, s in
-                               zip(split.test, scores)}, split.test)
+        report = build_report(scores, split.test)
         assert report.nfped >= 0.05

@@ -96,6 +96,12 @@ class TestBuildIndicator:
         with pytest.raises(DataError, match="no tokens resolvable"):
             emb.build_indicator("martian", self.store())
 
+    def test_zero_mean_indicator_is_error(self):
+        store = emb.WordVectorStore(vectors={"up": np.asarray([1.0, -2.0]),
+                                             "down": np.asarray([-1.0, 2.0])}, dim=2)
+        with pytest.raises(DataError, match="all zeros"):
+            emb.build_indicator("up down", store)
+
 
 class TestEncoderAdapter:
     def test_square_single_layer_starts_as_identity(self):

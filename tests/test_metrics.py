@@ -41,6 +41,11 @@ def brute_force_report(predictions, records, threshold=0.5):
     return nfped, nfned
 
 
+def aligned(predictions, records):
+    """The id-keyed predictions as scores aligned with `records`."""
+    return [predictions[r.id] for r in records]
+
+
 def random_case(seed, n=200, n_targets=5):
     rng = np.random.default_rng(seed)
     names = [f"t{i}" for i in range(n_targets)]
@@ -56,20 +61,19 @@ def random_case(seed, n=200, n_targets=5):
 class TestConfusionPerTarget:
     def test_multi_target_post_counts_for_each_mention(self):
         records = [rec("a", ["x", "y"], 1), rec("b", ["x"], 0)]
-        preds = {"a": 0.9, "b": 0.9}
-        conf = metrics.confusion_per_target(preds, records)
+        conf = metrics.confusion_per_target([0.9, 0.9], records)
         assert conf.per_target["x"].tp == 1
         assert conf.per_target["y"].tp == 1
         assert conf.per_target["x"].fp == 1
         assert conf.overall.total == 2
 
-    def test_missing_prediction_names_the_record(self):
-        with pytest.raises(DataError, match="'b'"):
-            metrics.confusion_per_target({"a": 0.5}, [rec("a", ["x"], 0),
-                                                      rec("b", ["x"], 0)])
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(DataError, match="1 scores for 2 records"):
+            metrics.confusion_per_target([0.5], [rec("a", ["x"], 0),
+                                                 rec("b", ["x"], 0)])
 
     def test_threshold_is_strict(self):
-        conf = metrics.confusion_per_target({"a": 0.5}, [rec("a", ["x"], 1)], 0.5)
+        conf = metrics.confusion_per_target([0.5], [rec("a", ["x"], 1)], 0.5)
         assert conf.overall.fn == 1
 
 
@@ -78,8 +82,7 @@ class TestEqualityDifferences:
         # overall: fp=1/neg=3, fn=1/pos=3
         records = [rec("a", ["x"], 0), rec("b", ["x"], 0), rec("c", ["y"], 0),
                    rec("d", ["x"], 1), rec("e", ["y"], 1), rec("f", ["y"], 1)]
-        preds = {"a": 0.9, "b": 0.1, "c": 0.1, "d": 0.9, "e": 0.9, "f": 0.1}
-        conf = metrics.confusion_per_target(preds, records)
+        conf = metrics.confusion_per_target([0.9, 0.1, 0.1, 0.9, 0.9, 0.1], records)
         nfped, nfned, exc_p, exc_n = metrics.equality_differences(conf)
         # x: fpr=1/2, fnr=0; y: fpr=0, fnr=1/2; overall fpr=fnr=1/3
         assert nfped == pytest.approx((abs(1/3 - 1/2) + abs(1/3 - 0)) / 2)
@@ -89,8 +92,7 @@ class TestEqualityDifferences:
     def test_undefined_rates_excluded_with_reduced_normalizer(self):
         # target y has no negatives so its FPR is undefined
         records = [rec("a", ["x"], 0), rec("b", ["x"], 0), rec("c", ["y"], 1)]
-        preds = {"a": 0.9, "b": 0.1, "c": 0.9}
-        conf = metrics.confusion_per_target(preds, records)
+        conf = metrics.confusion_per_target([0.9, 0.1, 0.9], records)
         nfped, nfned, exc_p, exc_n = metrics.equality_differences(conf)
         assert exc_p == ["y"]
         assert exc_n == ["x"]
@@ -102,7 +104,7 @@ class TestEqualityDifferences:
     @given(st.integers(0, 10_000))
     def test_matches_brute_force(self, seed):
         predictions, records = random_case(seed)
-        conf = metrics.confusion_per_target(predictions, records)
+        conf = metrics.confusion_per_target(aligned(predictions, records), records)
         nfped, nfned, _, _ = metrics.equality_differences(conf)
         exp_p, exp_n = brute_force_report(predictions, records)
         assert nfped == pytest.approx(exp_p, abs=1e-12)
@@ -110,8 +112,9 @@ class TestEqualityDifferences:
 
     def test_permutation_invariance(self):
         predictions, records = random_case(3)
-        conf1 = metrics.confusion_per_target(predictions, records)
-        conf2 = metrics.confusion_per_target(predictions, records[::-1])
+        conf1 = metrics.confusion_per_target(aligned(predictions, records), records)
+        conf2 = metrics.confusion_per_target(aligned(predictions, records[::-1]),
+                                             records[::-1])
         assert metrics.equality_differences(conf1) == metrics.equality_differences(conf2)
 
 
@@ -142,46 +145,44 @@ class TestHarmonicFairness:
 
 class TestClassificationMetrics:
     def test_hand_computed_accuracy_f1(self):
-        scores = np.asarray([0.9, 0.8, 0.2, 0.7])
-        labels = np.asarray([1, 0, 0, 1])
-        acc, f1, auc = metrics.classification_metrics(scores, labels)
-        assert acc == pytest.approx(0.75)
+        records = [rec("a", ["x"], 1), rec("b", ["x"], 0), rec("c", ["x"], 0),
+                   rec("d", ["x"], 1)]
+        report = metrics.build_report([0.9, 0.8, 0.2, 0.7], records)
+        assert report.accuracy == pytest.approx(0.75)
         # tp=2 fp=1 fn=0
-        assert f1 == pytest.approx(4 / 5)
+        assert report.f1 == pytest.approx(4 / 5)
 
     def test_auc_matches_pairwise_oracle(self):
         rng = np.random.default_rng(1)
         scores = rng.random(80)
         scores[::7] = 0.5  # force ties
         labels = (rng.random(80) < 0.4).astype(int)
-        _, _, auc = metrics.classification_metrics(scores, labels)
+        auc = metrics.rank_auc(scores, labels)
         pos = scores[labels == 1]
         neg = scores[labels == 0]
         wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
         assert auc == pytest.approx(wins / (len(pos) * len(neg)), abs=1e-12)
 
     def test_single_class_auc_is_none(self):
-        _, _, auc = metrics.classification_metrics(np.asarray([0.1, 0.9]),
-                                                   np.asarray([1, 1]))
-        assert auc is None
+        assert metrics.rank_auc([0.1, 0.9], [1, 1]) is None
 
     def test_threshold_changes_accuracy_not_auc(self):
         scores = np.linspace(0.05, 0.95, 20)
-        labels = (scores > 0.6).astype(int)
-        a1, _, auc1 = metrics.classification_metrics(scores, labels, 0.3)
-        a2, _, auc2 = metrics.classification_metrics(scores, labels, 0.6)
-        assert auc1 == auc2
-        assert a1 != a2
+        records = [rec(f"r{i}", ["x"], int(s > 0.6)) for i, s in enumerate(scores)]
+        r1 = metrics.build_report(scores, records, threshold=0.3)
+        r2 = metrics.build_report(scores, records, threshold=0.6)
+        assert r1.auc == r2.auc
+        assert r1.accuracy != r2.accuracy
 
     def test_empty_set_rejected(self):
         with pytest.raises(DataError):
-            metrics.classification_metrics(np.asarray([]), np.asarray([]))
+            metrics.build_report([], [])
 
 
 class TestBuildReport:
     def test_report_round_trips_through_json(self, tmp_path):
         predictions, records = random_case(7)
-        report = metrics.build_report(predictions, records)
+        report = metrics.build_report(aligned(predictions, records), records)
         path = tmp_path / "report.json"
         report.save(path)
         import json
@@ -190,14 +191,15 @@ class TestBuildReport:
 
     def test_flags_surface_degenerate_inputs(self):
         records = [rec("a", ["x"], 1), rec("b", ["x"], 1)]
-        report = metrics.build_report({"a": 0.9, "b": 0.8}, records)
+        report = metrics.build_report([0.9, 0.8], records)
         assert "auc_undefined_single_class" in report.flags
         assert "hf_zero_input" in report.flags
 
     def test_consistency_with_components(self):
         predictions, records = random_case(11)
-        report = metrics.build_report(predictions, records, threshold=0.4)
-        conf = metrics.confusion_per_target(predictions, records, 0.4)
+        scores = aligned(predictions, records)
+        report = metrics.build_report(scores, records, threshold=0.4)
+        conf = metrics.confusion_per_target(scores, records, 0.4)
         nfped, nfned, _, _ = metrics.equality_differences(conf)
         assert report.nfped == nfped and report.nfned == nfned
         assert report.hf == metrics.harmonic_fairness(nfped, nfned)

@@ -1,3 +1,6 @@
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -51,7 +54,9 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(lam=-0.1), dict(rank=0), dict(batch_size=0), dict(lr=0.0),
         dict(max_rounds=0), dict(threshold=1.0), dict(lam=float("nan")),
-        dict(lr=float("inf")), dict(mu=float("inf")),
+        dict(lr=float("inf")), dict(mu=float("inf")), dict(seed=-1),
+        dict(hyper_hidden=0), dict(head_hidden=0), dict(adapter_depth=0),
+        dict(patience=-1),
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -263,6 +268,19 @@ class TestCheckpoint:
         b = loaded.predict(records, loaded.indicators)
         assert a.tobytes() == b.tobytes()
 
+    def test_unreadable_archive_leaves_no_file_open(self, tmp_path):
+        # zip magic, so np.load hands the file to NpzFile, which fails to parse it
+        path = tmp_path / "bad.npz"
+        path.write_bytes(b"PK\x03\x04truncated")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(CheckpointError):
+                trainer.checkpoint_load(path)
+            # an open file left in the error's traceback warns when collected
+            gc.collect()
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
+
     def test_version_mismatch_rejected(self, tmp_path):
         state = self.trained()
         path = tmp_path / "c.npz"
@@ -333,3 +351,15 @@ class TestEvalIndicators:
         assert [r.id for r in usable] == ["v"]
         assert any("martian" in w for w in warnings)
         assert "martian" not in indicators
+
+    def test_zero_indicator_excludes_records_with_warning(self):
+        model = tiny_model()
+        store = WordVectorStore(vectors={"women": np.zeros(3)}, dim=3)
+        records = [PostRecord(id="u", targets=("women",), label=0,
+                              embedding=np.zeros(4)),
+                   PostRecord(id="v", targets=("a",), label=1,
+                              embedding=np.zeros(4))]
+        indicators, usable, warnings = trainer.eval_indicators(model, records, store)
+        assert [r.id for r in usable] == ["v"]
+        assert any("all zeros" in w for w in warnings)
+        assert "women" not in indicators
