@@ -32,7 +32,7 @@ class PostRecord:
             raise DataError(f"record '{self.id}': neither text nor embedding present")
         if isinstance(self.label, bool) or self.label not in (0, 1):
             raise DataError(f"record '{self.id}': label must be 0 or 1, got {self.label}")
-        if self.embedding is not None and not np.all(np.isfinite(self.embedding)):
+        if self.embedding is not None and not np.isfinite(self.embedding).all():
             raise DataError(f"record '{self.id}': non-finite embedding values")
         return self
 
@@ -156,6 +156,8 @@ def _parse_record(obj: dict, line_no: int) -> PostRecord:
             raise DataError(f"line {line_no}: embedding must be a numeric array") from None
         if embedding.ndim != 1:
             raise DataError(f"line {line_no}: embedding must be one-dimensional")
+        if not embedding.size:
+            raise DataError(f"line {line_no}: embedding is empty")
     record = PostRecord(id=rid, targets=tuple(targets), label=label,
                         text=obj.get("text"), embedding=embedding)
     try:

@@ -115,31 +115,56 @@ class Model:
         return membership([r.targets for r in records], self.seen_targets)
 
     def filter_batch(self, records: list[PostRecord],
-                     indicators: dict[str, np.ndarray] | None = None
+                     params: tuple[list[hf.LowRankFactors], np.ndarray] | None = None
                      ) -> tuple[Tensor, Tensor, list[hf.LowRankFactors]]:
         """Encode, then filter each post with its target-set ensemble.
 
-        Filters are generated once for every target in `indicators` (default:
-        the seen targets). Returns (unfiltered s, filtered s_tilde, factors),
-        rows in `records` order; the factors cover the targets in sorted-name
-        order, as the gap-alignment loss expects.
+        `params` is the (factors, mix) pair of `hf.ensemble_params` with one
+        mixing row per record; by default it is generated here for the seen
+        targets. Returns (unfiltered s, filtered s_tilde, factors), rows in
+        `records` order; the factors cover the targets in sorted-name order,
+        as the gap-alignment loss expects.
         """
-        indicators = indicators if indicators is not None else self.indicators
-        factors, mix = hf.ensemble_params(self.hyper, indicators,
-                                          [r.targets for r in records])
+        if params is None:
+            params = hf.ensemble_params(self.hyper, self.indicators,
+                                        [r.targets for r in records])
+        factors, mix = params
         s = encode_posts(records, self.adapter)
         return s, hf.apply_filter(s, factors, mix), factors
 
     def predict(self, records: list[PostRecord],
                 indicators: dict[str, np.ndarray]) -> np.ndarray:
-        """Hatefulness scores aligned with `records` (filters generated on the fly)."""
+        """Hatefulness scores aligned with `records`.
+
+        The filters of every target the records name are generated once, then
+        the posts are scored in chunks of `batch_size`. Every parameter's
+        `requires_grad` is off meanwhile, so no tape is recorded; the flags
+        are restored afterwards, and freeze state and pending gradients are
+        left as they were.
+        """
+        if not records:
+            return np.empty(0)
+        names = {t for r in records for t in r.targets}
+        missing = sorted(names - indicators.keys())
+        if missing:
+            raise ConfigError(f"no indicator for targets {missing}")
+        tensors = [t for group in self.groups.values() for t in group.tensors.values()]
+        flags = [t.requires_grad for t in tensors]
         scores = np.empty(len(records))
-        for start in range(0, len(records), self.config.batch_size):
-            chunk = records[start:start + self.config.batch_size]
-            used = {t: indicators[t] for r in chunk for t in r.targets}
-            _, s_tilde, _ = self.filter_batch(chunk, used)
-            logits = self.classifier.forward(s_tilde)
-            scores[start:start + len(chunk)] = ad.sigmoid(logits).data.reshape(-1)
+        size = self.config.batch_size
+        try:
+            for t in tensors:
+                t.requires_grad = False
+            factors, mix = hf.ensemble_params(self.hyper, {t: indicators[t] for t in names},
+                                              [r.targets for r in records])
+            for start in range(0, len(records), size):
+                _, s_tilde, _ = self.filter_batch(records[start:start + size],
+                                                  (factors, mix[start:start + size]))
+                logits = self.classifier.forward(s_tilde)
+                scores[start:start + size] = ad.sigmoid(logits).data.reshape(-1)
+        finally:
+            for t, flag in zip(tensors, flags):
+                t.requires_grad = flag
         return scores
 
 
@@ -404,24 +429,27 @@ def eval_indicators(model: Model, records: list[PostRecord], store: WordVectorSt
     indicators = dict(model.indicators)
     warnings_out: list[str] = []
     bad_targets: set[str] = set()
-    for record in records:
-        for t in record.target_set:
-            if t in indicators or t in bad_targets:
-                continue
-            try:
-                ind = build_indicator(t, store)
-            except DataError as exc:
-                bad_targets.add(t)
-                warnings_out.append(str(exc))
-                continue
-            if ind.skipped:
-                warnings_out.append(
-                    f"target '{t}': skipped OOV tokens {ind.skipped}")
-            indicators[t] = ind.vector
-    usable = [r for r in records if not (r.target_set & bad_targets)]
+    # distinct targets in order of first appearance, so warnings keep their order
+    for t in dict.fromkeys(t for r in records for t in r.targets):
+        if t in indicators:
+            continue
+        try:
+            ind = build_indicator(t, store)
+        except DataError as exc:
+            bad_targets.add(t)
+            warnings_out.append(str(exc))
+            continue
+        if ind.skipped:
+            warnings_out.append(f"target '{t}': skipped OOV tokens {ind.skipped}")
+        indicators[t] = ind.vector
+    if not bad_targets:
+        return indicators, list(records), warnings_out
+    usable = []
     for r in records:
-        dropped = r.target_set & bad_targets
+        dropped = bad_targets.intersection(r.targets)
         if dropped:
             warnings_out.append(
                 f"record '{r.id}' excluded (unresolvable targets {sorted(dropped)})")
+        else:
+            usable.append(r)
     return indicators, usable, warnings_out

@@ -247,15 +247,23 @@ def mixed_width_corpus(ws):
     return path
 
 
-def text_only_corpus(ws):
-    """The corpus with each post's embedding replaced by text."""
+def edited_corpus(ws, name, edit):
+    """The corpus with `edit` applied to each post's JSON object."""
     lines = []
     for line in (ws / "corpus.jsonl").read_text().splitlines():
         record = json.loads(line)
+        edit(record)
+        lines.append(json.dumps(record) + "\n")
+    return text_file(ws, name, "".join(lines))
+
+
+def text_only_corpus(ws):
+    """The corpus with each post's embedding replaced by text."""
+    def edit(record):
         record.pop("embedding")
         record["text"] = "a post"
-        lines.append(json.dumps(record) + "\n")
-    return text_file(ws, "text.jsonl", "".join(lines))
+
+    return edited_corpus(ws, "text.jsonl", edit)
 
 
 def narrow_vectors(ws):
@@ -324,6 +332,10 @@ MALFORMED_INPUTS = {
         str(ws / "vectors.txt"), "-o", str(ws / "r")]),
     "train-corpus-without-embeddings": (3, lambda ws: [
         "train", str(ws / "train.cfg"), str(text_only_corpus(ws)),
+        str(ws / "vectors.txt"), "-o", str(ws / "r")]),
+    "train-empty-embeddings": (3, lambda ws: [
+        "train", str(ws / "train.cfg"),
+        str(edited_corpus(ws, "empty.jsonl", lambda r: r.update(embedding=[]))),
         str(ws / "vectors.txt"), "-o", str(ws / "r")]),
     "eval-mixed-embedding-widths": (3, lambda ws: eval_args(
         ws, corpus=mixed_width_corpus(ws))),

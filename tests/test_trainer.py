@@ -131,6 +131,57 @@ class TestModel:
                   for size in (7, 128)]
         np.testing.assert_allclose(scores[0], scores[1], rtol=0, atol=1e-12)
 
+    def test_predict_generates_filters_once(self, monkeypatch):
+        calls = []
+        generate = trainer.hf.target_theta
+
+        def counting(*args):
+            calls.append(1)
+            return generate(*args)
+
+        monkeypatch.setattr(trainer.hf, "target_theta", counting)
+        model = tiny_model(tiny_config(batch_size=7))
+        model.predict(tiny_records(40), model.indicators)
+        assert len(calls) == 1
+
+    def test_predict_records_no_tape(self, monkeypatch):
+        seen = []
+        forward = trainer.ClassifierHead.forward
+
+        def recording(head, x):
+            seen.append(x)
+            return forward(head, x)
+
+        monkeypatch.setattr(trainer.ClassifierHead, "forward", recording)
+        model = tiny_model(tiny_config(batch_size=7))
+        model.predict(tiny_records(20), model.indicators)
+        assert len(seen) == 3
+        assert all(not x.requires_grad and x._parents == () for x in seen)
+
+    def test_predict_leaves_freeze_state_and_pending_grads(self):
+        def flags():
+            return {name: (g.frozen, [t.requires_grad for t in g.tensors.values()])
+                    for name, g in model.groups.items()}
+
+        model = tiny_model()
+        model.discriminator.group.freeze()
+        pending = {}
+        for k, t in model.hyper.group.tensors.items():
+            t.grad = pending[k] = np.full(t.data.shape, 0.5)
+        before = flags()
+        model.predict(tiny_records(10), model.indicators)
+        assert flags() == before
+        assert before["dis"][0] and not before["hyper"][0]
+        for k, t in model.hyper.group.tensors.items():
+            assert t.grad is pending[k]
+
+    def test_predict_target_without_indicator_rejected(self):
+        model = tiny_model()
+        records = tiny_records(5) + [PostRecord(id="x", targets=("a", "ghost"),
+                                                label=0, embedding=np.zeros(4))]
+        with pytest.raises(ConfigError, match="ghost"):
+            model.predict(records, model.indicators)
+
     def test_frozen_forward_builds_no_graph(self):
         model = tiny_model()
         for group in model.groups.values():
