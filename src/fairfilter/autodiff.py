@@ -2,14 +2,15 @@
 
 The tape covers exactly the operations the rest of the package needs
 (matmul, einsum, broadcasting arithmetic, ReLU/sigmoid/softplus/sqrt,
-reductions, indexing, reshape). Graphs are rebuilt every step, so freeze
-state is captured at construction time of each node. A node that no
-gradient can reach keeps no parents and no backward closure, so a forward
-with every group frozen builds no graph.
+reductions, basic indexing, reshape). Graphs are rebuilt every step, so
+freeze state is captured at construction time of each node. A node that no
+gradient can reach keeps no parents and no backward closure: a forward with
+every group frozen, or any forward inside `no_grad()`, builds no graph.
 """
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from dataclasses import dataclass, field
 
@@ -22,6 +23,22 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """In the block, a node built from parents keeps no tape. Leaves and their
+    flags are untouched, so freeze state and pending gradients survive.
+    Blocks nest, and the previous state returns on exit, by exception too."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 class Tensor:
     """A node in the computation graph holding a float64 ndarray."""
 
@@ -30,7 +47,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
+        self.requires_grad = requires_grad or _recording and any(p.requires_grad for p in _parents)
         # a node no gradient can reach keeps no tape: its output is a constant
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
@@ -207,25 +224,18 @@ def reshape(a: Tensor, shape) -> Tensor:
     return Tensor(a.data.reshape(shape), _parents=(a,), _backward=bwd)
 
 
-def _is_basic_index(idx) -> bool:
-    """True for ints, slices, None and Ellipsis (and tuples of them)."""
-    parts = idx if isinstance(idx, tuple) else (idx,)
-    return all(p is None or p is Ellipsis or isinstance(p, (int, np.integer, slice))
-               for p in parts)
-
-
 def tslice(a: Tensor, idx) -> Tensor:
-    """numpy indexing; integer-array indices may repeat and then accumulate."""
-    basic = _is_basic_index(idx)
+    """numpy basic indexing: ints, slices, None and Ellipsis. Array and boolean
+    indices are rejected, as the backward would drop a repeated index's grads."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    if not all(p is None or p is Ellipsis or isinstance(p, (int, np.integer, slice))
+               and not isinstance(p, bool) for p in parts):
+        raise GraphError(f"tslice takes basic indices only, got {idx!r}")
 
-    def bwd(g, a=a, idx=idx, basic=basic):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            if basic:
-                full[idx] = g
-            else:
-                np.add.at(full, idx, g)
-            _acc(a, full)
+    def bwd(g, a=a, idx=idx):
+        full = np.zeros_like(a.data)
+        full[idx] = g
+        _acc(a, full)
 
     return Tensor(a.data[idx], _parents=(a,), _backward=bwd)
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from . import hyperfilter as hfilt
+from .autodiff import no_grad
 from .config import parse_kv_file, split_spec_from, synth_spec_from, train_config_from
 from .data import (load_jsonl, make_split, save_jsonl, synth_generate,
                    synth_indicators)
@@ -259,16 +260,18 @@ def export_filters(checkpoint, vectors, targets, out):
         else:
             ind = build_indicator(name, store)
             vector, tokens, skipped = ind.vector, ind.tokens, ind.skipped
-        thetas = [hfilt.assemble_theta(f).data[0]
-                  for f in hfilt.target_theta(model.hyper, vector.reshape(1, -1))]
         entries.append({
             "name": name,
             "tokens": tokens,
             "skipped_tokens": skipped,
             "seen_in_training": name in model.indicators,
             "indicator": [float(v) for v in vector],
-            "theta": [[float(v) for v in t.reshape(-1)] for t in thetas],
         })
+    with no_grad():
+        thetas = [hfilt.assemble_theta(f).data for f in hfilt.target_theta(
+            model.hyper, np.array([entry["indicator"] for entry in entries]))]
+    for i, entry in enumerate(entries):
+        entry["theta"] = [[float(v) for v in t[i].reshape(-1)] for t in thetas]
     with open(out, "w", encoding="utf-8") as fh:
         json.dump({"hidden_dim": model.config.hidden_dim,
                    "rank": model.config.rank,

@@ -21,8 +21,8 @@ V_t[:, :d] and b that of the V_t[:, d]; then h = (z * M_rep) P', with P'
 the (T*K, d) stack of the P_t and M_rep = M with each column repeated K
 times. The generator runs once per layer over a (T, indicator_dim) stack
 of indicators. The gap-alignment loss works in factor space too
-(`filter_gram`). `assemble_theta` is the only dense path; `export-filters`
-and tests use it.
+(`filter_gram`). `assemble_theta` is the only dense path; `export-filters`,
+which generates every requested target in one pass, and tests use it.
 """
 
 from __future__ import annotations

@@ -10,6 +10,10 @@ Both phases run one loop, `_run_phase`, which sets the freeze state, steps
 Adam on the phase's trainable groups and records telemetry; a phase is the
 groups it trains plus its loss function (`discriminator_losses` or
 `synergic_losses`, which the gradient suite checks directly).
+
+`Model.embed` is the one no-tape embedding path: scoring and validation
+(`Model.predict`) read it, and the discriminator phase, where the filters are
+frozen, filters the training posts through it once and minibatches the rows.
 """
 
 from __future__ import annotations
@@ -114,58 +118,39 @@ class Model:
     def multi_hot(self, records: list[PostRecord]) -> np.ndarray:
         return membership([r.targets for r in records], self.seen_targets)
 
-    def filter_batch(self, records: list[PostRecord],
-                     params: tuple[list[hf.LowRankFactors], np.ndarray] | None = None
-                     ) -> tuple[Tensor, Tensor, list[hf.LowRankFactors]]:
-        """Encode, then filter each post with its target-set ensemble.
-
-        `params` is the (factors, mix) pair of `hf.ensemble_params` with one
-        mixing row per record; by default it is generated here for the seen
-        targets. Returns (unfiltered s, filtered s_tilde, factors), rows in
-        `records` order; the factors cover the targets in sorted-name order,
-        as the gap-alignment loss expects.
-        """
-        if params is None:
-            params = hf.ensemble_params(self.hyper, self.indicators,
-                                        [r.targets for r in records])
-        factors, mix = params
+    def filter_batch(self, records: list[PostRecord], factors: list[hf.LowRankFactors],
+                     mix: np.ndarray) -> tuple[Tensor, Tensor]:
+        """Encode, then filter each post with its target-set ensemble: `factors`
+        and `mix` come from `hf.ensemble_params`, one mixing row per record.
+        Returns (unfiltered s, filtered s_tilde), rows in `records` order."""
         s = encode_posts(records, self.adapter)
-        return s, hf.apply_filter(s, factors, mix), factors
+        return s, hf.apply_filter(s, factors, mix)
 
-    def predict(self, records: list[PostRecord],
-                indicators: dict[str, np.ndarray]) -> np.ndarray:
-        """Hatefulness scores aligned with `records`.
-
-        The filters of every target the records name are generated once, then
-        the posts are scored in chunks of `batch_size`. Every parameter's
-        `requires_grad` is off meanwhile, so no tape is recorded; the flags
-        are restored afterwards, and freeze state and pending gradients are
-        left as they were.
-        """
-        if not records:
-            return np.empty(0)
+    def embed(self, records: list[PostRecord], indicators: dict[str, np.ndarray]):
+        """Yield (s, s_tilde) arrays in `batch_size` chunks in record order,
+        recording no tape; the filters of every target named are generated once."""
         names = {t for r in records for t in r.targets}
         missing = sorted(names - indicators.keys())
         if missing:
             raise ConfigError(f"no indicator for targets {missing}")
-        tensors = [t for group in self.groups.values() for t in group.tensors.values()]
-        flags = [t.requires_grad for t in tensors]
-        scores = np.empty(len(records))
-        size = self.config.batch_size
-        try:
-            for t in tensors:
-                t.requires_grad = False
+        if not records:
+            return
+        with ad.no_grad():
             factors, mix = hf.ensemble_params(self.hyper, {t: indicators[t] for t in names},
                                               [r.targets for r in records])
-            for start in range(0, len(records), size):
-                _, s_tilde, _ = self.filter_batch(records[start:start + size],
-                                                  (factors, mix[start:start + size]))
-                logits = self.classifier.forward(s_tilde)
-                scores[start:start + size] = ad.sigmoid(logits).data.reshape(-1)
-        finally:
-            for t, flag in zip(tensors, flags):
-                t.requires_grad = flag
-        return scores
+        for start in range(0, len(records), self.config.batch_size):
+            rows = slice(start, start + self.config.batch_size)
+            with ad.no_grad():
+                s, s_tilde = self.filter_batch(records[rows], factors, mix[rows])
+            yield s.data, s_tilde.data
+
+    def predict(self, records: list[PostRecord],
+                indicators: dict[str, np.ndarray]) -> np.ndarray:
+        """Hatefulness scores aligned with `records`: the classifier over `embed`."""
+        with ad.no_grad():
+            scores = [ad.sigmoid(self.classifier.forward(ad.constant(s_tilde))).data
+                      for _, s_tilde in self.embed(records, indicators)]
+        return np.concatenate(scores).reshape(-1) if scores else np.empty(0)
 
 
 @dataclass
@@ -182,13 +167,6 @@ class TrainState:
     telemetry: list[dict] = field(default_factory=list)
 
 
-def _minibatches(records: list[PostRecord], batch_size: int,
-                 rng: np.random.Generator):
-    order = rng.permutation(len(records))
-    for start in range(0, len(records), batch_size):
-        yield [records[i] for i in order[start:start + batch_size]]
-
-
 def _batch_stats(records: list[PostRecord]) -> dict:
     embeddings = stack_embeddings(records)
     return {"batch_size": len(records),
@@ -196,19 +174,21 @@ def _batch_stats(records: list[PostRecord]) -> dict:
             "embedding_absmax": float(np.max(np.abs(embeddings)))}
 
 
-def discriminator_losses(model: Model, records: list[PostRecord]) -> dict[str, Tensor]:
+def discriminator_losses(model: Model, s_tilde: np.ndarray,
+                         targets: np.ndarray) -> dict[str, Tensor]:
     """The discriminator phase's objective: recover each post's seen targets
-    from its filtered embedding."""
-    _, s_tilde, _ = model.filter_batch(records)
-    return {"l_dis": obj.loss_dis(model.discriminator.forward(s_tilde),
-                                  model.multi_hot(records))}
+    (multi-hot rows) from its filtered embedding (rows of s_tilde)."""
+    return {"l_dis": obj.loss_dis(model.discriminator.forward(ad.constant(s_tilde)),
+                                  targets)}
 
 
 def synergic_losses(model: Model, records: list[PostRecord]) -> dict[str, Tensor]:
     """The filter phase's four loss terms and their synergic combination,
     keyed by LOSS_KEYS in that order."""
     cfg = model.config
-    s, s_tilde, factors = model.filter_batch(records)
+    factors, mix = hf.ensemble_params(model.hyper, model.indicators,
+                                      [r.targets for r in records])
+    s, s_tilde = model.filter_batch(records, factors, mix)
     y = np.asarray([r.label for r in records])
     z = model.classifier.forward(s_tilde)
     z_prime = model.classifier.forward(s)
@@ -229,8 +209,8 @@ def _run_phase(state: TrainState, records: list[PostRecord], epochs: int,
     """`epochs` epochs of minibatch Adam steps on the `trainable` groups.
 
     Every other group is frozen. Each step backpropagates the last loss that
-    `losses_of(model, batch)` returns and appends a telemetry row; each
-    epoch appends the means of the returned losses to the history.
+    `losses_of(batch)` returns for the batch's indices into `records` and
+    appends a telemetry row; each epoch appends the loss means to the history.
     """
     model = state.model
     for name, group in model.groups.items():
@@ -240,12 +220,15 @@ def _run_phase(state: TrainState, records: list[PostRecord], epochs: int,
             group.freeze()
     for epoch in range(epochs):
         first = len(state.telemetry)
-        for batch in _minibatches(records, model.config.batch_size, rng):
-            losses = losses_of(model, batch)
+        order = rng.permutation(len(records))
+        for start in range(0, len(records), model.config.batch_size):
+            batch = order[start:start + model.config.batch_size]
+            losses = losses_of(batch)
             *_, objective = losses.values()
             if not np.isfinite(objective.item()):
+                stats = _batch_stats([records[i] for i in batch])
                 raise DivergenceError(f"non-finite {PHASE_OBJECTIVES[phase]}; "
-                                      f"last batch: {json.dumps(_batch_stats(batch))}")
+                                      f"last batch: {json.dumps(stats)}")
             ad.backward(objective)
             for name in trainable:
                 ad.adam_step(model.groups[name], state.adam[name])
@@ -261,15 +244,20 @@ def _run_phase(state: TrainState, records: list[PostRecord], epochs: int,
 
 def phase_discriminator(state: TrainState, records: list[PostRecord],
                         epochs: int, rng: np.random.Generator) -> None:
-    """N epochs of discriminator-only minibatch updates (rest frozen)."""
-    _run_phase(state, records, epochs, rng, "dis", ("dis",), discriminator_losses)
+    """N epochs of discriminator-only minibatch updates (rest frozen), over
+    s_tilde rows that `Model.embed` computes once for the phase."""
+    model = state.model
+    s_tilde = np.concatenate([chunk for _, chunk in model.embed(records, model.indicators)])
+    targets = model.multi_hot(records)
+    _run_phase(state, records, epochs, rng, "dis", ("dis",),
+               lambda batch: discriminator_losses(model, s_tilde[batch], targets[batch]))
 
 
 def phase_filter(state: TrainState, records: list[PostRecord],
                  epochs: int, rng: np.random.Generator) -> None:
     """N' epochs of synergic-loss updates on filter, classifier, and adapter."""
     _run_phase(state, records, epochs, rng, "filter", ("enc", "hyper", "hate"),
-               synergic_losses)
+               lambda batch: synergic_losses(state.model, [records[i] for i in batch]))
 
 
 def _snapshot(model: Model) -> dict[str, dict[str, np.ndarray]]:
@@ -295,12 +283,9 @@ def fit(config: TrainConfig, split: CorpusSplit,
     d_in = stack_embeddings(split.train + split.validation).shape[1]
     indicator_dim = len(next(iter(indicators.values())))
     model = Model(config, d_in, indicator_dim, seen, indicators)
-    val_indicators = dict(model.indicators)
-    for r in split.validation:
-        for t in r.targets:
-            if t not in indicators:
-                raise ConfigError(f"validation target '{t}' has no indicator")
-            val_indicators.setdefault(t, indicators[t])
+    missing = sorted({t for r in split.validation for t in r.targets} - indicators.keys())
+    if missing:
+        raise ConfigError(f"no indicator for validation targets {missing}")
     adam = {"dis": AdamState(lr=config.lr_dis),
             "enc": AdamState(lr=config.lr),
             "hyper": AdamState(lr=config.lr),
@@ -315,7 +300,7 @@ def fit(config: TrainConfig, split: CorpusSplit,
         phase_filter(state, split.train, config.n_filter, rng)
 
         if split.validation:
-            scores = model.predict(split.validation, val_indicators)
+            scores = model.predict(split.validation, indicators)
             report = build_report(scores, split.validation, threshold=config.threshold)
             composite = report.f1 - report.hf
             state.val_history.append({

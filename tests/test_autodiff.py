@@ -114,7 +114,7 @@ class TestBackward:
         lambda a, b: ad.einsum("ij->ji", a) + ad.einsum("ij->ji", b),
         lambda a, b: ad.reshape(a, (1, 9)) + ad.reshape(b, (1, 9)),
         lambda a, b: a[1:, :] * b[:2, :],
-        lambda a, b: a[[2, 0, 0]] + b,
+        lambda a, b: a[::-1, None, 1] * b[..., 0],
         lambda a, b: ad.einsum("ij,kl->ik", a, b),
         lambda a, b: ad.tmean(a, axis=0) + ad.tsum(b, axis=1),
         lambda a, b: (ad.softplus(a + 800.0) + ad.softplus(a - 800.0)) * b,
@@ -140,6 +140,14 @@ class TestBackward:
             expected = fd_scalar(fn, t.data.copy())
             got = t.grad if t.grad is not None else np.zeros_like(t.data)
             np.testing.assert_allclose(got, expected, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("idx", [[2, 0, 0], (slice(None), np.array([1, 1])),
+                                     np.array([True, False, True]), True])
+    def test_tslice_rejects_array_and_boolean_indices(self, idx):
+        a = Tensor(np.zeros((3, 3)), requires_grad=True)
+        with pytest.raises(GraphError, match="basic indices") as info:
+            a[idx]
+        assert repr(idx) in str(info.value)
 
     def test_einsum_rejects_malformed_subscripts(self):
         a = Tensor(np.zeros((2, 3)))
@@ -189,6 +197,49 @@ class TestBackward:
         y = x * x + x * 2.0  # dy/dx = 2x + 2 = 8
         ad.backward(y)
         assert x.grad == pytest.approx(8.0)
+
+
+class TestNoGrad:
+    def test_nodes_from_unfrozen_leaves_keep_no_tape(self):
+        group = ParamGroup("g")
+        w = group.add("W", np.ones((2, 2)))
+        with ad.no_grad():
+            out = ad.relu(ad.matmul(ad.constant(np.ones((1, 2))), w) + w[0])
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+        assert (ad.matmul(w, w) * 1.0)._parents  # taped again after the block
+
+    def test_leaf_flags_and_pending_grads_untouched(self):
+        group = ParamGroup("g")
+        w = group.add("W", np.ones(2))
+        frozen = ParamGroup("f")
+        v = frozen.add("V", np.ones(2))
+        frozen.freeze()
+        pending = w.grad = np.full(2, 0.5)
+        with ad.no_grad():
+            w * v
+        assert w.requires_grad and not group.frozen and w.grad is pending
+        assert not v.requires_grad and frozen.frozen
+
+    def test_leaf_created_inside_keeps_its_flag(self):
+        with ad.no_grad():
+            leaf = Tensor(np.ones(2), requires_grad=True)
+            added = ParamGroup("g").add("W", np.ones(2))
+        assert leaf.requires_grad and added.requires_grad
+        ad.backward(ad.tsum(leaf * 2.0))
+        np.testing.assert_array_equal(leaf.grad, [2.0, 2.0])
+
+    def test_previous_state_returns_after_exception_and_nesting(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(ValueError):
+            with ad.no_grad():
+                raise ValueError("inside")
+        assert (w * 2.0)._parents
+        with ad.no_grad():
+            with ad.no_grad():
+                assert (w * 2.0)._parents == ()
+            assert (w * 2.0)._parents == ()
+        assert (w * 2.0)._parents
 
 
 class TestAdam:

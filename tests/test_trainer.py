@@ -50,6 +50,14 @@ def tiny_model(config=None, targets=("a", "b"), d_in=4):
                  seen_targets=list(targets), indicators=ind)
 
 
+def taped_filter_batch(model, records):
+    """`filter_batch` with the seen targets' filters generated for `records`,
+    as a training step runs it."""
+    factors, mix = trainer.hf.ensemble_params(model.hyper, model.indicators,
+                                              [r.targets for r in records])
+    return model.filter_batch(records, factors, mix)
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(lam=-0.1), dict(rank=0), dict(batch_size=0), dict(lr=0.0),
@@ -81,10 +89,10 @@ class TestModel:
     def test_filter_batch_keeps_input_order(self):
         model = tiny_model()
         records = tiny_records(10)
-        s, s_tilde, _ = model.filter_batch(records)
+        s, s_tilde = taped_filter_batch(model, records)
         assert s.data.shape == s_tilde.data.shape == (10, 8)
         for i, record in enumerate(records):
-            s_one, s_tilde_one, _ = model.filter_batch([record])
+            s_one, s_tilde_one = taped_filter_batch(model, [record])
             np.testing.assert_allclose(s.data[i], s_one.data[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(s_tilde.data[i], s_tilde_one.data[0],
                                        rtol=0, atol=1e-12)
@@ -93,7 +101,7 @@ class TestModel:
         d = 64
         model = tiny_model(tiny_config(hidden_dim=d, depth=2, rank=2),
                            targets=("a", "b", "c"))
-        _, s_tilde, _ = model.filter_batch(tiny_records(12, targets=("a", "b", "c")))
+        _, s_tilde = taped_filter_batch(model, tiny_records(12, targets=("a", "b", "c")))
         seen, stack, shapes = set(), [s_tilde], []
         while stack:
             node = stack.pop()
@@ -111,8 +119,35 @@ class TestModel:
         emb = np.random.default_rng(3).normal(size=4)
         records = [PostRecord(id=f"r{i}", targets=("a",), label=0,
                               embedding=emb.copy()) for i in range(3)]
-        _, s_tilde, _ = model.filter_batch(records)
+        _, s_tilde = taped_filter_batch(model, records)
         assert len({row.tobytes() for row in s_tilde.data}) == 1
+
+    @pytest.mark.parametrize("batch_size", [7, 128])
+    def test_embed_matches_taped_filter_batch_without_tape(self, batch_size, monkeypatch):
+        model = tiny_model(tiny_config(batch_size=batch_size), targets=("a", "b", "c"))
+        records = tiny_records(40, targets=("a", "b", "c"))
+        s, s_tilde = taped_filter_batch(model, records)
+        assert s_tilde.requires_grad and s_tilde._parents
+        built = []
+        filter_batch = Model.filter_batch
+
+        def recording(self, *args):
+            built.append(filter_batch(self, *args))
+            return built[-1]
+
+        monkeypatch.setattr(Model, "filter_batch", recording)
+        chunks = list(model.embed(records, model.indicators))
+        assert [len(c) for c, _ in chunks] == [min(batch_size, 40 - start)
+                                               for start in range(0, 40, batch_size)]
+        assert len(built) == len(chunks)
+        for pair in chunks:
+            assert all(isinstance(rows, np.ndarray) for rows in pair)
+        for node in (x for pair in built for x in pair):
+            assert not node.requires_grad and node._parents == ()
+        np.testing.assert_allclose(np.concatenate([c for c, _ in chunks]), s.data,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.concatenate([c for _, c in chunks]), s_tilde.data,
+                                   rtol=0, atol=1e-12)
 
     def test_predict_is_order_equivariant(self):
         model = tiny_model()
@@ -226,6 +261,32 @@ class TestPhases:
                                        model.discriminator.group.tensors[k].data)
                     for k in before)
         assert moved
+
+    def test_dis_phase_generates_filters_once(self, monkeypatch):
+        calls = []
+        generate = trainer.hf.target_theta
+
+        def counting(*args):
+            calls.append(1)
+            return generate(*args)
+
+        monkeypatch.setattr(trainer.hf, "target_theta", counting)
+        model = tiny_model()
+        state = trainer.TrainState(model=model, adam={
+            k: ad.AdamState() for k in model.groups})
+        trainer.phase_discriminator(state, tiny_records(20), epochs=2,
+                                    rng=np.random.default_rng(0))
+        assert state.global_step == 4
+        assert len(calls) == 1
+
+    def test_dis_phase_non_finite_loss_names_the_batch(self):
+        model = tiny_model()
+        state = trainer.TrainState(model=model, adam={
+            k: ad.AdamState() for k in model.groups})
+        model.discriminator.group.tensors["W2"].data[:] = np.nan
+        with pytest.raises(DivergenceError, match='"batch_size": 8'):
+            trainer.phase_discriminator(state, tiny_records(8), epochs=1,
+                                        rng=np.random.default_rng(0))
 
     def test_non_finite_loss_raises_divergence(self):
         model = tiny_model()
