@@ -21,7 +21,7 @@ from . import __version__
 from . import hyperfilter as hfilt
 from .autodiff import no_grad
 from .config import parse_kv_file, split_spec_from, synth_spec_from, train_config_from
-from .data import (load_jsonl, make_split, save_jsonl, synth_generate,
+from .data import (load_jsonl, make_split, save_json, save_jsonl, synth_generate,
                    synth_indicators)
 from .embeddings import build_indicator, load_word_vectors, save_word_vectors, tokenize_target
 from .errors import ConfigError, DataError, FairFilterError, utf8_or
@@ -40,7 +40,7 @@ def _sha256(path) -> str:
 
 def _write_manifest(path, command: str, config: dict, inputs: list, outputs: list,
                     seed: int | None = None, warnings: list | None = None) -> None:
-    manifest = {
+    save_json({
         "tool": "fairfilter",
         "version": __version__,
         "command": command,
@@ -49,10 +49,7 @@ def _write_manifest(path, command: str, config: dict, inputs: list, outputs: lis
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
         "warnings": warnings or [],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    }, path)
 
 
 def _exits(fn):
@@ -137,15 +134,10 @@ def train(config_file, corpus, vectors, out_dir):
     ckpt = out / "checkpoint.npz"
     checkpoint_save(state.model, ckpt)
     write_telemetry(state, out / "training_log.csv")
-    with open(out / "history.json", "w", encoding="utf-8") as fh:
-        json.dump({"epochs": state.history, "validation": state.val_history,
-                   "best_round": state.best_round,
-                   "best_composite": state.best_composite},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out / "split_manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(split.manifest(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json({"epochs": state.history, "validation": state.val_history,
+               "best_round": state.best_round, "best_composite": state.best_composite},
+              out / "history.json")
+    save_json(split.manifest(), out / "split_manifest.json")
     _write_manifest(out / "manifest.json", "train",
                     {"train": vars(config), "split": vars(split_spec)},
                     [config_file, corpus, vectors],

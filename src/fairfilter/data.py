@@ -203,6 +203,13 @@ def save_jsonl(records: list[PostRecord], path) -> None:
             fh.write(json.dumps(record.to_json()) + "\n")
 
 
+def save_json(obj, path) -> None:
+    """Write `obj` as indented, key-sorted JSON ending in a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _balance(records: list[PostRecord], rng: np.random.Generator) -> list[PostRecord]:
     """Trim the majority class at random so class counts differ by <= 1."""
     pos = [r for r in records if r.label == 1]

@@ -2,7 +2,8 @@
 
 Target indicators are the mean of a target name's word vectors; they are the
 hypernetwork's conditioning input and require no training, which is what
-makes zero-shot filters for unseen targets possible.
+makes zero-shot filters for unseen targets possible. `encode_posts` reads
+embedding rows, as `stack_embeddings` builds them from records.
 """
 
 from __future__ import annotations
@@ -139,6 +140,6 @@ def stack_embeddings(records) -> np.ndarray:
     return np.stack([r.embedding for r in records])
 
 
-def encode_posts(records, adapter: EncoderAdapter) -> Tensor:
-    """Stack the records' stored embeddings and run them through the adapter."""
-    return adapter.encode(ad.constant(stack_embeddings(records)))
+def encode_posts(x: np.ndarray, adapter: EncoderAdapter) -> Tensor:
+    """Run embedding rows x (n, d_in) through the adapter."""
+    return adapter.encode(ad.constant(x))

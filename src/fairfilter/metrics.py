@@ -13,14 +13,13 @@ positives/negatives needed for a rate are excluded from that metric's mean
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.stats import rankdata
 
-from .data import PostRecord, membership
+from .data import PostRecord, membership, save_json
 from .errors import DataError
 from .heads import decide
 
@@ -66,9 +65,7 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(asdict(self), path)
 
 
 def confusion_per_target(scores: Sequence[float], records: list[PostRecord],

@@ -6,10 +6,11 @@ for N' epochs against the synergic loss with the discriminator frozen.
 Rounds continue until the round cap or until the validation composite
 (F1 - HF) stops improving; the best-validation snapshot is returned.
 
-Both phases run one loop, `_run_phase`, which sets the freeze state, steps
-Adam on the phase's trainable groups and records telemetry; a phase is the
-groups it trains plus its loss function (`discriminator_losses` or
-`synergic_losses`, which the gradient suite checks directly).
+Both phases run one loop, `_run_phase`, which minibatches rows the phase
+tabulates once (`Model.tabulate`), sets the freeze state, steps Adam on the
+phase's trainable groups and records telemetry; a phase is the groups it
+trains plus its loss function (`discriminator_losses` or `synergic_losses`,
+which the gradient suite checks directly).
 
 `Model.embed` is the one no-tape embedding path: scoring and validation
 (`Model.predict`) read it, and the discriminator phase, where the filters are
@@ -98,9 +99,9 @@ class Model:
         self.config = config
         self.d_in = d_in
         self.indicator_dim = indicator_dim
-        self.seen_targets = list(seen_targets)
+        self.seen_targets = sorted(seen_targets)  # the order of every target axis
         self.indicators = {t: np.asarray(indicators[t], dtype=np.float64)
-                           for t in seen_targets}
+                           for t in self.seen_targets}
         d = config.hidden_dim
         rng = np.random.default_rng(config.seed)
         self.adapter = EncoderAdapter(d_in, d, rng, depth=config.adapter_depth)
@@ -115,15 +116,17 @@ class Model:
         return {"enc": self.adapter.group, "hyper": self.hyper.group,
                 "dis": self.discriminator.group, "hate": self.classifier.group}
 
-    def multi_hot(self, records: list[PostRecord]) -> np.ndarray:
-        return membership([r.targets for r in records], self.seen_targets)
+    def tabulate(self, records: list[PostRecord]) -> tuple[np.ndarray, ...]:
+        """Embeddings (n, d_in), labels (n,) and seen-target membership (n, T)."""
+        return (stack_embeddings(records), np.asarray([r.label for r in records]),
+                membership([r.targets for r in records], self.seen_targets))
 
-    def filter_batch(self, records: list[PostRecord], factors: list[hf.LowRankFactors],
+    def filter_batch(self, x: np.ndarray, factors: list[hf.LowRankFactors],
                      mix: np.ndarray) -> tuple[Tensor, Tensor]:
-        """Encode, then filter each post with its target-set ensemble: `factors`
-        and `mix` come from `hf.ensemble_params`, one mixing row per record.
-        Returns (unfiltered s, filtered s_tilde), rows in `records` order."""
-        s = encode_posts(records, self.adapter)
+        """Encode embedding rows x, then filter each with its target-set
+        ensemble: one row of `mix` per row of x over the targets of `factors`.
+        Returns (unfiltered s, filtered s_tilde), rows in x's order."""
+        s = encode_posts(x, self.adapter)
         return s, hf.apply_filter(s, factors, mix)
 
     def embed(self, records: list[PostRecord], indicators: dict[str, np.ndarray]):
@@ -141,7 +144,8 @@ class Model:
         for start in range(0, len(records), self.config.batch_size):
             rows = slice(start, start + self.config.batch_size)
             with ad.no_grad():
-                s, s_tilde = self.filter_batch(records[rows], factors, mix[rows])
+                s, s_tilde = self.filter_batch(stack_embeddings(records[rows]),
+                                               factors, mix[rows])
             yield s.data, s_tilde.data
 
     def predict(self, records: list[PostRecord],
@@ -167,13 +171,6 @@ class TrainState:
     telemetry: list[dict] = field(default_factory=list)
 
 
-def _batch_stats(records: list[PostRecord]) -> dict:
-    embeddings = stack_embeddings(records)
-    return {"batch_size": len(records),
-            "labels_mean": float(np.mean([r.label for r in records])),
-            "embedding_absmax": float(np.max(np.abs(embeddings)))}
-
-
 def discriminator_losses(model: Model, s_tilde: np.ndarray,
                          targets: np.ndarray) -> dict[str, Tensor]:
     """The discriminator phase's objective: recover each post's seen targets
@@ -182,18 +179,19 @@ def discriminator_losses(model: Model, s_tilde: np.ndarray,
                                   targets)}
 
 
-def synergic_losses(model: Model, records: list[PostRecord]) -> dict[str, Tensor]:
+def synergic_losses(model: Model, x: np.ndarray, y: np.ndarray,
+                    targets: np.ndarray) -> dict[str, Tensor]:
     """The filter phase's four loss terms and their synergic combination,
-    keyed by LOSS_KEYS in that order."""
+    keyed by LOSS_KEYS in that order, over `Model.tabulate` rows."""
     cfg = model.config
-    factors, mix = hf.ensemble_params(model.hyper, model.indicators,
-                                      [r.targets for r in records])
-    s, s_tilde = model.filter_batch(records, factors, mix)
-    y = np.asarray([r.label for r in records])
+    factors = hf.target_theta(model.hyper, np.stack([model.indicators[t]
+                                                     for t in model.seen_targets]))
+    mix = targets / targets.sum(axis=1, keepdims=True)
+    s, s_tilde = model.filter_batch(x, factors, mix)
     z = model.classifier.forward(s_tilde)
     z_prime = model.classifier.forward(s)
     l_hate = obj.loss_hate(z, y)
-    l_dis = obj.loss_dis(model.discriminator.forward(s_tilde), model.multi_hot(records))
+    l_dis = obj.loss_dis(model.discriminator.forward(s_tilde), targets)
     l_imi = obj.loss_imi(z, z_prime)
     if cfg.mu > 0 and len(model.seen_targets) >= 2:
         l_reg = obj.loss_reg(model.indicators, hf.filter_gram(factors))
@@ -203,14 +201,15 @@ def synergic_losses(model: Model, records: list[PostRecord]) -> dict[str, Tensor
     return dict(zip(LOSS_KEYS, (l_hate, l_dis, l_reg, l_imi, combined)))
 
 
-def _run_phase(state: TrainState, records: list[PostRecord], epochs: int,
+def _run_phase(state: TrainState, x: np.ndarray, y: np.ndarray, epochs: int,
                rng: np.random.Generator, phase: str, trainable: tuple[str, ...],
                losses_of) -> None:
-    """`epochs` epochs of minibatch Adam steps on the `trainable` groups.
+    """`epochs` epochs of minibatch Adam steps on the `trainable` groups, over
+    a phase's tabulated embedding rows x and labels y.
 
     Every other group is frozen. Each step backpropagates the last loss that
-    `losses_of(batch)` returns for the batch's indices into `records` and
-    appends a telemetry row; each epoch appends the loss means to the history.
+    `losses_of(batch)` returns for the batch's row indices and appends a
+    telemetry row; each epoch appends the loss means to the history.
     """
     model = state.model
     for name, group in model.groups.items():
@@ -220,13 +219,14 @@ def _run_phase(state: TrainState, records: list[PostRecord], epochs: int,
             group.freeze()
     for epoch in range(epochs):
         first = len(state.telemetry)
-        order = rng.permutation(len(records))
-        for start in range(0, len(records), model.config.batch_size):
+        order = rng.permutation(len(x))
+        for start in range(0, len(x), model.config.batch_size):
             batch = order[start:start + model.config.batch_size]
             losses = losses_of(batch)
             *_, objective = losses.values()
             if not np.isfinite(objective.item()):
-                stats = _batch_stats([records[i] for i in batch])
+                stats = {"batch_size": len(batch), "labels_mean": float(np.mean(y[batch])),
+                         "embedding_absmax": float(np.max(np.abs(x[batch])))}
                 raise DivergenceError(f"non-finite {PHASE_OBJECTIVES[phase]}; "
                                       f"last batch: {json.dumps(stats)}")
             ad.backward(objective)
@@ -247,17 +247,19 @@ def phase_discriminator(state: TrainState, records: list[PostRecord],
     """N epochs of discriminator-only minibatch updates (rest frozen), over
     s_tilde rows that `Model.embed` computes once for the phase."""
     model = state.model
+    x, y, targets = model.tabulate(records)
     s_tilde = np.concatenate([chunk for _, chunk in model.embed(records, model.indicators)])
-    targets = model.multi_hot(records)
-    _run_phase(state, records, epochs, rng, "dis", ("dis",),
+    _run_phase(state, x, y, epochs, rng, "dis", ("dis",),
                lambda batch: discriminator_losses(model, s_tilde[batch], targets[batch]))
 
 
 def phase_filter(state: TrainState, records: list[PostRecord],
                  epochs: int, rng: np.random.Generator) -> None:
     """N' epochs of synergic-loss updates on filter, classifier, and adapter."""
-    _run_phase(state, records, epochs, rng, "filter", ("enc", "hyper", "hate"),
-               lambda batch: synergic_losses(state.model, [records[i] for i in batch]))
+    x, y, targets = state.model.tabulate(records)
+    _run_phase(state, x, y, epochs, rng, "filter", ("enc", "hyper", "hate"),
+               lambda batch: synergic_losses(state.model, x[batch], y[batch],
+                                             targets[batch]))
 
 
 def _snapshot(model: Model) -> dict[str, dict[str, np.ndarray]]:

@@ -70,7 +70,7 @@ def draw_is_smooth(model: Model, records) -> bool:
 
     ad.relu, ad.softplus = relu_probe, softplus_probe
     try:
-        synergic_losses(model, records)
+        synergic_losses(model, *model.tabulate(records))
     finally:
         ad.relu, ad.softplus = orig_relu, orig_softplus
     return min_kink[0] > KINK_GUARD and max_logit[0] < LOGIT_GUARD
@@ -86,7 +86,7 @@ def smooth_case(seed: int, **kwargs):
 
 
 def analytic_grads(model: Model, records, loss_name: str) -> dict:
-    losses = synergic_losses(model, records)
+    losses = synergic_losses(model, *model.tabulate(records))
     ad.backward(losses[loss_name])
     out = {}
     for gname, group in model.groups.items():
@@ -103,6 +103,7 @@ def fd_check_all(model: Model, records, eps: float = 1e-5,
     gradient, for all five losses at once. Returns the worst relative error.
     """
     grads = {name: analytic_grads(model, records, name) for name in LOSS_KEYS}
+    rows = model.tabulate(records)
     worst = 0.0
     for gname, group in model.groups.items():
         for tname, tensor in group.tensors.items():
@@ -110,9 +111,9 @@ def fd_check_all(model: Model, records, eps: float = 1e-5,
             for i in range(flat.size):
                 original = flat[i]
                 flat[i] = original + eps
-                plus = {k: v.item() for k, v in synergic_losses(model, records).items()}
+                plus = {k: v.item() for k, v in synergic_losses(model, *rows).items()}
                 flat[i] = original - eps
-                minus = {k: v.item() for k, v in synergic_losses(model, records).items()}
+                minus = {k: v.item() for k, v in synergic_losses(model, *rows).items()}
                 flat[i] = original
                 for name in LOSS_KEYS:
                     fd = (plus[name] - minus[name]) / (2.0 * eps)

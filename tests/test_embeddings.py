@@ -137,12 +137,11 @@ class TestEncodePosts:
                    PostRecord(id="b", targets=("x",), label=1,
                               embedding=np.asarray([3.0, 4.0]))]
         adapter = emb.EncoderAdapter(2, 2, np.random.default_rng(0))
-        out = emb.encode_posts(records, adapter)
+        out = emb.encode_posts(emb.stack_embeddings(records), adapter)
         np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_text_only_record_rejected(self):
         from fairfilter.data import PostRecord
         records = [PostRecord(id="a", targets=("x",), label=0, text="hi")]
-        adapter = emb.EncoderAdapter(2, 2, np.random.default_rng(0))
         with pytest.raises(DataError, match="'a'"):
-            emb.encode_posts(records, adapter)
+            emb.stack_embeddings(records)

@@ -160,8 +160,8 @@ class TestEnsembleParams:
         model = Model(TrainConfig(hidden_dim=6, hyper_hidden=8, head_hidden=4),
                       d_in=6, indicator_dim=3, seen_targets=sorted(ind), indicators=ind)
         with pytest.raises(ConfigError, match="ghost"):
-            model.multi_hot([PostRecord(id="p", targets=("t0", "ghost"), label=0,
-                                        embedding=np.zeros(6))])
+            model.tabulate([PostRecord(id="p", targets=("t0", "ghost"), label=0,
+                                       embedding=np.zeros(6))])
 
 
 def dense_as_factors(*thetas):

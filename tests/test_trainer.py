@@ -1,11 +1,12 @@
 import gc
+import json
 import warnings
 
 import numpy as np
 import pytest
 
 from fairfilter import autodiff as ad
-from fairfilter import trainer
+from fairfilter import data, metrics, trainer
 from fairfilter.data import CorpusSplit, PostRecord
 from fairfilter.embeddings import WordVectorStore
 from fairfilter.errors import CheckpointError, ConfigError, DataError, DivergenceError
@@ -51,11 +52,22 @@ def tiny_model(config=None, targets=("a", "b"), d_in=4):
 
 
 def taped_filter_batch(model, records):
-    """`filter_batch` with the seen targets' filters generated for `records`,
-    as a training step runs it."""
-    factors, mix = trainer.hf.ensemble_params(model.hyper, model.indicators,
-                                              [r.targets for r in records])
-    return model.filter_batch(records, factors, mix)
+    """`filter_batch` over the records' tabulated rows with the seen targets'
+    filters, as a training step runs it."""
+    x, _, targets = model.tabulate(records)
+    factors = trainer.hf.target_theta(
+        model.hyper, np.stack([model.indicators[t] for t in model.seen_targets]))
+    return model.filter_batch(x, factors, targets / targets.sum(axis=1, keepdims=True))
+
+
+def assert_names_the_batch(error, records):
+    """The DivergenceError's JSON carries the size, label mean and embedding
+    abs-max of exactly `records`, the whole batch."""
+    stats = json.loads(str(error).split("last batch: ", 1)[1])
+    assert stats == {
+        "batch_size": len(records),
+        "labels_mean": float(np.mean([r.label for r in records])),
+        "embedding_absmax": float(max(np.max(np.abs(r.embedding)) for r in records))}
 
 
 class TestTrainConfig:
@@ -75,11 +87,32 @@ class TestTrainConfig:
 
 
 class TestModel:
-    def test_multi_hot_follows_seen_target_order(self):
+    def test_tabulate_follows_seen_target_order(self):
         model = tiny_model(targets=("a", "b", "c"))
-        records = [PostRecord(id="x", targets=("c", "a"), label=0,
-                              embedding=np.zeros(4))]
-        np.testing.assert_array_equal(model.multi_hot(records), [[1, 0, 1]])
+        records = [PostRecord(id="x", targets=("c", "a"), label=1,
+                              embedding=np.arange(4.0))]
+        x, y, targets = model.tabulate(records)
+        np.testing.assert_array_equal(x, [[0.0, 1.0, 2.0, 3.0]])
+        np.testing.assert_array_equal(y, [1])
+        np.testing.assert_array_equal(targets, [[1, 0, 1]])
+
+    def test_seen_targets_are_kept_sorted(self):
+        ind = tiny_indicators(("a", "b", "c"))
+        shuffled = Model(tiny_config(), d_in=4, indicator_dim=3,
+                         seen_targets=["c", "a", "b"], indicators=ind)
+        ordered = Model(tiny_config(), d_in=4, indicator_dim=3,
+                        seen_targets=["a", "b", "c"], indicators=ind)
+        assert shuffled.seen_targets == ["a", "b", "c"]
+        records = [PostRecord(id=f"r{i}", targets=tset, label=i % 2,
+                              embedding=np.full(4, i + 1.0))
+                   for i, tset in enumerate([("c",), ("a",), ("b", "c")])]
+        _, _, targets = shuffled.tabulate(records)
+        np.testing.assert_array_equal(targets, [[0, 0, 1], [1, 0, 0], [0, 1, 1]])
+        records = tiny_records(12, targets=("a", "b", "c"))
+        got = trainer.synergic_losses(shuffled, *shuffled.tabulate(records))
+        want = trainer.synergic_losses(ordered, *ordered.tabulate(records))
+        assert {k: v.data.tobytes() for k, v in got.items()} \
+            == {k: v.data.tobytes() for k, v in want.items()}
 
     def test_missing_indicator_rejected(self):
         with pytest.raises(ConfigError, match="ghost"):
@@ -221,7 +254,7 @@ class TestModel:
         model = tiny_model()
         for group in model.groups.values():
             group.freeze()
-        losses = trainer.synergic_losses(model, tiny_records(10))
+        losses = trainer.synergic_losses(model, *model.tabulate(tiny_records(10)))
         for loss in losses.values():
             assert not loss.requires_grad and loss._parents == ()
 
@@ -284,9 +317,33 @@ class TestPhases:
         state = trainer.TrainState(model=model, adam={
             k: ad.AdamState() for k in model.groups})
         model.discriminator.group.tensors["W2"].data[:] = np.nan
-        with pytest.raises(DivergenceError, match='"batch_size": 8'):
-            trainer.phase_discriminator(state, tiny_records(8), epochs=1,
+        records = tiny_records(8)
+        with pytest.raises(DivergenceError, match="discriminator loss") as err:
+            trainer.phase_discriminator(state, records, epochs=1,
                                         rng=np.random.default_rng(0))
+        assert_names_the_batch(err.value, records)
+
+    def test_filter_phase_reads_tabulated_rows(self, monkeypatch):
+        calls = {"ensemble_params": 0, "membership": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(trainer.hf, "ensemble_params",
+                            counting("ensemble_params", trainer.hf.ensemble_params))
+        membership = counting("membership", data.membership)
+        for module in (data, trainer.hf, trainer, metrics):
+            monkeypatch.setattr(module, "membership", membership)
+        model = tiny_model(tiny_config(batch_size=8))
+        state = trainer.TrainState(model=model, adam={
+            k: ad.AdamState() for k in model.groups})
+        trainer.phase_filter(state, tiny_records(20), epochs=2,
+                             rng=np.random.default_rng(0))
+        assert state.global_step == 6
+        assert calls == {"ensemble_params": 0, "membership": 1}
 
     def test_non_finite_loss_raises_divergence(self):
         model = tiny_model()
@@ -294,9 +351,11 @@ class TestPhases:
             k: ad.AdamState() for k in model.groups})
         # a poisoned readout weight sends the classifier logits non-finite
         model.classifier.group.tensors["W2"].data[:] = np.nan
-        with pytest.raises(DivergenceError, match="batch"):
-            trainer.phase_filter(state, tiny_records(8), epochs=1,
+        records = tiny_records(8)
+        with pytest.raises(DivergenceError, match="synergic loss") as err:
+            trainer.phase_filter(state, records, epochs=1,
                                  rng=np.random.default_rng(0))
+        assert_names_the_batch(err.value, records)
 
 
 class TestFit:
