@@ -20,22 +20,22 @@ targets side by side: z = h V' + b, with V' the (d, T*K) stack of the
 V_t[:, :d] and b that of the V_t[:, d]; then h = (z * M_rep) P', with P'
 the (T*K, d) stack of the P_t and M_rep = M with each column repeated K
 times. The generator runs once per layer over a (T, indicator_dim) stack
-of indicators. The gap-alignment loss works in factor space too
-(`filter_gram`). `assemble_theta` is the only dense path; `export-filters`,
-which generates every requested target in one pass, and tests use it.
+of indicators; its row t, column t of M and row and column t of a Gram
+matrix are one target, in the caller's order, and no function here sees a
+name. The gap-alignment loss works in factor space too (`filter_gram`).
+`assemble_theta` is the only dense path; `export-filters`, which generates
+every requested target in one pass, and tests use it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamGroup, Tensor
-from .data import membership
-from .errors import DimensionError, GraphError
+from .errors import DimensionError
 
 
 def factor_arity(d: int, rank: int) -> int:
@@ -107,22 +107,12 @@ def assemble_theta(factors: LowRankFactors) -> Tensor:
     return ad.einsum("tld,tlj->tdj", factors.p, factors.v)
 
 
-def ensemble_params(hyper: HyperFilter, indicators: dict[str, np.ndarray],
-                    target_sets: Sequence[Collection[str]]
+def ensemble_params(hyper: HyperFilter, indicators: np.ndarray, targets: np.ndarray
                     ) -> tuple[list[LowRankFactors], np.ndarray]:
-    """Factors of every target in `indicators` plus each post's mixing row.
-
-    Targets are stacked in sorted-name order, so the result does not depend
-    on the order of `indicators`. M[i, t] is 1/|S_i| for the targets t in
-    post i's set S_i and 0 elsewhere.
-    """
-    if not indicators:
-        raise GraphError("ensemble_params called with an empty target table")
-    names = sorted(indicators)
-    mix = membership(target_sets, names)
-    mix /= mix.sum(axis=1, keepdims=True)
-    factors = target_theta(hyper, np.stack([indicators[n] for n in names]))
-    return factors, mix
+    """Factors of a (T, indicator_dim) indicator stack plus each post's mixing
+    row from its (n, T) 0/1 membership over the stack's rows: M[i, t] is
+    1/|S_i| for the targets t in post i's set S_i and 0 elsewhere."""
+    return target_theta(hyper, indicators), targets / targets.sum(axis=1, keepdims=True)
 
 
 def apply_filter(s: Tensor, factors: list[LowRankFactors], mix: np.ndarray) -> Tensor:

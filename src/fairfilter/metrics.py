@@ -6,9 +6,10 @@ confusion counts are tallied once, as one matrix product: each post's row
 [1 | membership] (the 1 for the global tally, then a 1 for every target the
 post mentions) times its one-hot tp/fp/tn/fn indicator. A post thus counts
 toward the global tallies once and toward the tallies of every target it
-mentions; accuracy and F1 come from the global tally. Targets lacking the
-positives/negatives needed for a rate are excluded from that metric's mean
-(with the normalizer reduced) and flagged in the report.
+mentions. The product is one (1 + T, 4) int array: the global row, read by
+accuracy and F1, then one row per target in sorted-name order. Targets
+lacking the positives/negatives needed for a rate are excluded from that
+metric's mean (with the normalizer reduced) and flagged in the report.
 """
 
 from __future__ import annotations
@@ -22,32 +23,6 @@ from scipy.stats import rankdata
 from .data import PostRecord, membership, save_json
 from .errors import DataError
 from .heads import decide
-
-
-@dataclass
-class Counts:
-    tp: int = 0
-    fp: int = 0
-    tn: int = 0
-    fn: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-    def fpr(self) -> float | None:
-        neg = self.fp + self.tn
-        return self.fp / neg if neg else None
-
-    def fnr(self) -> float | None:
-        pos = self.fn + self.tp
-        return self.fn / pos if pos else None
-
-
-@dataclass
-class ConfusionByTarget:
-    per_target: dict[str, Counts]
-    overall: Counts
 
 
 @dataclass
@@ -69,47 +44,44 @@ class EvalReport:
 
 
 def confusion_per_target(scores: Sequence[float], records: list[PostRecord],
-                         threshold: float = 0.5) -> ConfusionByTarget:
-    """Tally confusion counts globally and per mentioned target, in one product."""
+                         threshold: float = 0.5) -> tuple[list[str], np.ndarray]:
+    """Tally confusion counts globally and per mentioned target, in one product.
+
+    Returns the sorted target names and a (1 + T, 4) int array with columns
+    tp, fp, tn, fn: row 0 is the global tally, row 1 + t that of names[t].
+    """
     if len(scores) != len(records):
         raise DataError(f"{len(scores)} scores for {len(records)} records")
     preds = decide(scores, threshold)
     labels = np.asarray([r.label for r in records], dtype=int)
-    # columns in Counts field order: tp, fp, tn, fn
     hit = np.stack([labels * preds, (1 - labels) * preds,
                     (1 - labels) * (1 - preds), labels * (1 - preds)], axis=1)
     names = sorted({t for r in records for t in r.targets})
     rows = np.hstack([np.ones((len(records), 1)),
                       membership([r.targets for r in records], names)])
-    overall, *per_target = (Counts(*row) for row in (rows.T @ hit).astype(int).tolist())
-    return ConfusionByTarget(per_target=dict(zip(names, per_target)), overall=overall)
+    return names, (rows.T @ hit).astype(int)
 
 
-def equality_differences(confusion: ConfusionByTarget
+def rates(tallies: np.ndarray) -> tuple[list[float | None], list[float | None]]:
+    """Per tally row, FPR fp / (fp + tn) and FNR fn / (fn + tp); None if undefined."""
+    tp, fp, tn, fn = tallies.T.tolist()
+    return ([a / (a + b) if a + b else None for a, b in zip(fp, tn)],
+            [a / (a + b) if a + b else None for a, b in zip(fn, tp)])
+
+
+def equality_differences(names: list[str], tallies: np.ndarray
                          ) -> tuple[float, float, list[str], list[str]]:
     """Mean absolute deviation of per-target FPR/FNR from the overall rates.
 
     Returns (nFPED, nFNED, targets excluded from nFPED, excluded from nFNED).
     """
-    overall_fpr = confusion.overall.fpr()
-    overall_fnr = confusion.overall.fnr()
-    fpr_devs, fnr_devs = [], []
-    excluded_fpr, excluded_fnr = [], []
-    for name in sorted(confusion.per_target):
-        counts = confusion.per_target[name]
-        fpr = counts.fpr()
-        if fpr is None or overall_fpr is None:
-            excluded_fpr.append(name)
-        else:
-            fpr_devs.append(abs(overall_fpr - fpr))
-        fnr = counts.fnr()
-        if fnr is None or overall_fnr is None:
-            excluded_fnr.append(name)
-        else:
-            fnr_devs.append(abs(overall_fnr - fnr))
-    nfped = float(np.mean(fpr_devs)) if fpr_devs else 0.0
-    nfned = float(np.mean(fnr_devs)) if fnr_devs else 0.0
-    return nfped, nfned, excluded_fpr, excluded_fnr
+    means, excluded = [], []
+    for overall, *per_target in rates(tallies):
+        kept = [r is not None and overall is not None for r in per_target]
+        devs = [abs(overall - r) for r, keep in zip(per_target, kept) if keep]
+        means.append(float(np.mean(devs)) if devs else 0.0)
+        excluded.append([name for name, keep in zip(names, kept) if not keep])
+    return means[0], means[1], excluded[0], excluded[1]
 
 
 def harmonic_fairness(nfped: float, nfned: float) -> float:
@@ -141,16 +113,18 @@ def build_report(scores: Sequence[float], records: list[PostRecord],
     """
     if not records:
         raise DataError("build_report on an empty evaluation set")
-    confusion = confusion_per_target(scores, records, threshold)
-    nfped, nfned, excluded_fpr, excluded_fnr = equality_differences(confusion)
+    names, tallies = confusion_per_target(scores, records, threshold)
+    nfped, nfned, excluded_fpr, excluded_fnr = equality_differences(names, tallies)
     hf = harmonic_fairness(nfped, nfned)
-    overall = confusion.overall
-    accuracy = (overall.tp + overall.tn) / overall.total
-    f1_denominator = 2 * overall.tp + overall.fp + overall.fn
-    f1 = 2.0 * overall.tp / f1_denominator if f1_denominator else 0.0
+    rows = tallies.tolist()
+    tp, fp, tn, fn = rows[0]
+    accuracy = (tp + tn) / len(records)
+    f1_denominator = 2 * tp + fp + fn
+    f1 = 2.0 * tp / f1_denominator if f1_denominator else 0.0
     auc = rank_auc(scores, [r.label for r in records])
-    per_target = {name: {**asdict(counts), "fpr": counts.fpr(), "fnr": counts.fnr()}
-                  for name, counts in confusion.per_target.items()}
+    fpr, fnr = rates(tallies)
+    per_target = {name: {**dict(zip(("tp", "fp", "tn", "fn"), rows[t])), "fpr": fpr[t],
+                         "fnr": fnr[t]} for t, name in enumerate(names, start=1)}
     flags = []
     if auc is None:
         flags.append("auc_undefined_single_class")

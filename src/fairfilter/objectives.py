@@ -2,7 +2,7 @@
 
 All batch losses are means over posts so that coefficient defaults transfer
 across batch sizes; the gap-alignment term is a pure sum over unordered
-target pairs.
+target pairs. Targets are positions in the caller's order, never names.
 """
 
 from __future__ import annotations
@@ -29,28 +29,27 @@ def loss_dis(logits: Tensor, p: np.ndarray) -> Tensor:
     return ad.tmean(ad.tsum(per_entry, axis=1))
 
 
-def loss_reg(indicators: dict[str, np.ndarray], grams: list[Tensor]) -> Tensor:
+def loss_reg(indicators: np.ndarray, grams: list[Tensor]) -> Tensor:
     """Semantic gap alignment over unordered pairs of training targets.
 
     For every pair, the squared difference between the indicators' cosine and
     the flattened filter parameters' cosine, summed over filter layers.
-    `grams[l]` holds layer l's filter inner products <theta_a, theta_b> with
-    rows and columns in sorted-name order (see `hyperfilter.filter_gram`).
+    Row t of the (T, indicator_dim) stack `indicators` is row and column t
+    of each layer's filter Gram matrix `grams[l]` (`hyperfilter.filter_gram`).
     """
-    names = sorted(indicators)
-    n = len(names)
+    n = len(indicators)
     if n < 2:
         raise ConfigError("gap alignment needs at least two training targets")
     if any(g.data.shape != (n, n) for g in grams):
         raise DimensionError(f"gap alignment: every Gram matrix must be ({n}, {n})")
 
-    def unit(vec: np.ndarray, what: str) -> np.ndarray:
+    def unit(vec: np.ndarray, row: int) -> np.ndarray:
         norm = np.linalg.norm(vec)
         if norm == 0.0:
-            raise GraphError(f"degenerate cosine: zero-norm {what}")
+            raise GraphError(f"degenerate cosine: zero-norm indicator in row {row}")
         return vec / norm
 
-    units = np.stack([unit(indicators[t], f"indicator '{t}'") for t in names])
+    units = np.stack([unit(vec, row) for row, vec in enumerate(indicators)])
     ind_cos = units @ units.T
     pairs = np.triu(np.ones((n, n)), k=1)
     eye = np.eye(n)

@@ -6,15 +6,17 @@ for N' epochs against the synergic loss with the discriminator frozen.
 Rounds continue until the round cap or until the validation composite
 (F1 - HF) stops improving; the best-validation snapshot is returned.
 
-Both phases run one loop, `_run_phase`, which minibatches rows the phase
-tabulates once (`Model.tabulate`), sets the freeze state, steps Adam on the
-phase's trainable groups and records telemetry; a phase is the groups it
-trains plus its loss function (`discriminator_losses` or `synergic_losses`,
-which the gradient suite checks directly).
+`fit` tabulates the training posts once (`tabulate`) into rows over the
+sorted seen targets, the one target axis of the indicator stack, filters,
+mixing rows, discriminator outputs and Gram matrices. Both phases run one
+loop, `_run_phase`, which minibatches those rows, sets the freeze state,
+steps Adam on the phase's trainable groups and records telemetry; a phase
+is the groups it trains plus its loss function (`discriminator_losses` or
+`synergic_losses`, which the gradient suite checks directly).
 
-`Model.embed` is the one no-tape embedding path: scoring and validation
-(`Model.predict`) read it, and the discriminator phase, where the filters are
-frozen, filters the training posts through it once and minibatches the rows.
+`Model.embed` is the one no-tape embedding path, over rows: `Model.predict`
+tabulates posts on their own sorted targets and reads it, and the
+discriminator phase, whose filters are frozen, reads it once per phase.
 """
 
 from __future__ import annotations
@@ -88,20 +90,30 @@ class TrainConfig:
         return self
 
 
+def tabulate(records: list[PostRecord], names: list[str]) -> tuple[np.ndarray, ...]:
+    """Embeddings (n, d_in), labels (n,) and membership (n, T) over `names`."""
+    return (stack_embeddings(records), np.asarray([r.label for r in records]),
+            membership([r.targets for r in records], names))
+
+
 class Model:
     """All trainable parameter groups plus the seen-target indicator table."""
 
     def __init__(self, config: TrainConfig, d_in: int, indicator_dim: int,
                  seen_targets: list[str], indicators: dict[str, np.ndarray]):
-        missing = [t for t in seen_targets if t not in indicators]
-        if missing:
-            raise ConfigError(f"no indicator for seen targets: {missing}")
+        bad = [t for t in seen_targets if np.shape(indicators.get(t)) != (indicator_dim,)]
+        if bad:
+            raise ConfigError(f"no ({indicator_dim},) indicator for seen targets: {bad}")
+        repeated = sorted({t for t in seen_targets if seen_targets.count(t) > 1})
+        if repeated:
+            raise ConfigError(f"seen targets named more than once: {repeated}")
         self.config = config
         self.d_in = d_in
         self.indicator_dim = indicator_dim
-        self.seen_targets = sorted(seen_targets)  # the order of every target axis
+        self.seen_targets = sorted(seen_targets)  # the training target axis
         self.indicators = {t: np.asarray(indicators[t], dtype=np.float64)
                            for t in self.seen_targets}
+        self.seen_indicators = np.stack([self.indicators[t] for t in self.seen_targets])
         d = config.hidden_dim
         rng = np.random.default_rng(config.seed)
         self.adapter = EncoderAdapter(d_in, d, rng, depth=config.adapter_depth)
@@ -116,11 +128,6 @@ class Model:
         return {"enc": self.adapter.group, "hyper": self.hyper.group,
                 "dis": self.discriminator.group, "hate": self.classifier.group}
 
-    def tabulate(self, records: list[PostRecord]) -> tuple[np.ndarray, ...]:
-        """Embeddings (n, d_in), labels (n,) and seen-target membership (n, T)."""
-        return (stack_embeddings(records), np.asarray([r.label for r in records]),
-                membership([r.targets for r in records], self.seen_targets))
-
     def filter_batch(self, x: np.ndarray, factors: list[hf.LowRankFactors],
                      mix: np.ndarray) -> tuple[Tensor, Tensor]:
         """Encode embedding rows x, then filter each with its target-set
@@ -129,32 +136,33 @@ class Model:
         s = encode_posts(x, self.adapter)
         return s, hf.apply_filter(s, factors, mix)
 
-    def embed(self, records: list[PostRecord], indicators: dict[str, np.ndarray]):
-        """Yield (s, s_tilde) arrays in `batch_size` chunks in record order,
-        recording no tape; the filters of every target named are generated once."""
-        names = {t for r in records for t in r.targets}
-        missing = sorted(names - indicators.keys())
-        if missing:
-            raise ConfigError(f"no indicator for targets {missing}")
-        if not records:
-            return
+    def embed(self, x: np.ndarray, targets: np.ndarray, indicators: np.ndarray):
+        """Yield (s, s_tilde) arrays in `batch_size` chunks of the rows x, with
+        no tape; `targets` (n, T) is their membership over the rows of the
+        (T, indicator_dim) `indicators` stack, whose filters are made once."""
         with ad.no_grad():
-            factors, mix = hf.ensemble_params(self.hyper, {t: indicators[t] for t in names},
-                                              [r.targets for r in records])
-        for start in range(0, len(records), self.config.batch_size):
+            factors, mix = hf.ensemble_params(self.hyper, indicators, targets)
+        for start in range(0, len(x), self.config.batch_size):
             rows = slice(start, start + self.config.batch_size)
             with ad.no_grad():
-                s, s_tilde = self.filter_batch(stack_embeddings(records[rows]),
-                                               factors, mix[rows])
+                s, s_tilde = self.filter_batch(x[rows], factors, mix[rows])
             yield s.data, s_tilde.data
 
     def predict(self, records: list[PostRecord],
                 indicators: dict[str, np.ndarray]) -> np.ndarray:
         """Hatefulness scores aligned with `records`: the classifier over `embed`."""
+        names = sorted({t for r in records for t in r.targets})
+        missing = [t for t in names if t not in indicators]
+        if missing:
+            raise ConfigError(f"no indicator for targets {missing}")
+        if not records:
+            return np.empty(0)
+        x, _, targets = tabulate(records, names)
+        stack = np.stack([indicators[t] for t in names])
         with ad.no_grad():
             scores = [ad.sigmoid(self.classifier.forward(ad.constant(s_tilde))).data
-                      for _, s_tilde in self.embed(records, indicators)]
-        return np.concatenate(scores).reshape(-1) if scores else np.empty(0)
+                      for _, s_tilde in self.embed(x, targets, stack)]
+        return np.concatenate(scores).reshape(-1)
 
 
 @dataclass
@@ -182,11 +190,9 @@ def discriminator_losses(model: Model, s_tilde: np.ndarray,
 def synergic_losses(model: Model, x: np.ndarray, y: np.ndarray,
                     targets: np.ndarray) -> dict[str, Tensor]:
     """The filter phase's four loss terms and their synergic combination,
-    keyed by LOSS_KEYS in that order, over `Model.tabulate` rows."""
+    keyed by LOSS_KEYS in that order, over seen-target `tabulate` rows."""
     cfg = model.config
-    factors = hf.target_theta(model.hyper, np.stack([model.indicators[t]
-                                                     for t in model.seen_targets]))
-    mix = targets / targets.sum(axis=1, keepdims=True)
+    factors, mix = hf.ensemble_params(model.hyper, model.seen_indicators, targets)
     s, s_tilde = model.filter_batch(x, factors, mix)
     z = model.classifier.forward(s_tilde)
     z_prime = model.classifier.forward(s)
@@ -194,7 +200,7 @@ def synergic_losses(model: Model, x: np.ndarray, y: np.ndarray,
     l_dis = obj.loss_dis(model.discriminator.forward(s_tilde), targets)
     l_imi = obj.loss_imi(z, z_prime)
     if cfg.mu > 0 and len(model.seen_targets) >= 2:
-        l_reg = obj.loss_reg(model.indicators, hf.filter_gram(factors))
+        l_reg = obj.loss_reg(model.seen_indicators, hf.filter_gram(factors))
     else:
         l_reg = ad.constant(0.0)
     combined = obj.synergic(l_hate, l_dis, l_reg, l_imi, cfg.lam, cfg.gamma, cfg.mu)
@@ -242,21 +248,21 @@ def _run_phase(state: TrainState, x: np.ndarray, y: np.ndarray, epochs: int,
             **{k: float(np.mean([row[k] for row in rows])) for k in losses}})
 
 
-def phase_discriminator(state: TrainState, records: list[PostRecord],
+def phase_discriminator(state: TrainState, rows: tuple[np.ndarray, ...],
                         epochs: int, rng: np.random.Generator) -> None:
     """N epochs of discriminator-only minibatch updates (rest frozen), over
     s_tilde rows that `Model.embed` computes once for the phase."""
     model = state.model
-    x, y, targets = model.tabulate(records)
-    s_tilde = np.concatenate([chunk for _, chunk in model.embed(records, model.indicators)])
+    x, y, targets = rows
+    s_tilde = np.concatenate([c for _, c in model.embed(x, targets, model.seen_indicators)])
     _run_phase(state, x, y, epochs, rng, "dis", ("dis",),
                lambda batch: discriminator_losses(model, s_tilde[batch], targets[batch]))
 
 
-def phase_filter(state: TrainState, records: list[PostRecord],
+def phase_filter(state: TrainState, rows: tuple[np.ndarray, ...],
                  epochs: int, rng: np.random.Generator) -> None:
     """N' epochs of synergic-loss updates on filter, classifier, and adapter."""
-    x, y, targets = state.model.tabulate(records)
+    x, y, targets = rows
     _run_phase(state, x, y, epochs, rng, "filter", ("enc", "hyper", "hate"),
                lambda batch: synergic_losses(state.model, x[batch], y[batch],
                                              targets[batch]))
@@ -294,12 +300,13 @@ def fit(config: TrainConfig, split: CorpusSplit,
             "hate": AdamState(lr=config.lr)}
     state = TrainState(model=model, adam=adam)
     rng = np.random.default_rng(config.seed + 1)
+    rows = tabulate(split.train, model.seen_targets)
 
     rounds_since_best = 0
     for round_no in range(config.max_rounds):
         state.round = round_no
-        phase_discriminator(state, split.train, config.n_dis, rng)
-        phase_filter(state, split.train, config.n_filter, rng)
+        phase_discriminator(state, rows, config.n_dis, rng)
+        phase_filter(state, rows, config.n_filter, rng)
 
         if split.validation:
             scores = model.predict(split.validation, indicators)
@@ -380,18 +387,17 @@ def checkpoint_load(path) -> Model:
                 raise CheckpointError(
                     f"checkpoint version {meta.get('version')} != {CHECKPOINT_VERSION}")
             config = TrainConfig(**meta["config"]).validate()
-            indicators = {t: archive[f"indicator/{t}"] for t in meta["seen_targets"]}
-            for t, vector in indicators.items():
-                if vector.shape != (meta["indicator_dim"],):
-                    raise CheckpointError(
-                        f"checkpoint '{path}': indicator '{t}' has shape "
-                        f"{vector.shape}, expected ({meta['indicator_dim']},)")
+            arrays = {k: archive[k] for k in archive.files if k != "__meta__"}
+            non_finite = sorted(k for k, v in arrays.items() if not np.all(np.isfinite(v)))
+            if non_finite:
+                raise CheckpointError(f"checkpoint '{path}': non-finite values in {non_finite}")
+            indicators = {t: arrays[f"indicator/{t}"] for t in meta["seen_targets"]}
             model = Model(config, meta["d_in"], meta["indicator_dim"],
                           meta["seen_targets"], indicators)
             for gname, group in model.groups.items():
                 keys = {k: f"param/{gname}/{k}" for k in group.tensors}
-                group.load_state_dict({k: archive[key] for k, key in keys.items()
-                                       if key in archive})
+                group.load_state_dict({k: arrays[key] for k, key in keys.items()
+                                       if key in arrays})
     except (OSError, EOFError, zipfile.BadZipFile, AttributeError, KeyError,
             TypeError, ValueError, ConfigError, DimensionError) as exc:
         raise CheckpointError(f"cannot load checkpoint '{path}': "

@@ -13,7 +13,7 @@ import numpy as np
 
 from fairfilter import autodiff as ad
 from fairfilter.data import PostRecord
-from fairfilter.trainer import LOSS_KEYS, Model, TrainConfig, synergic_losses
+from fairfilter.trainer import LOSS_KEYS, Model, TrainConfig, synergic_losses, tabulate
 
 KINK_GUARD = 1e-4
 LOGIT_GUARD = 12.0
@@ -70,7 +70,7 @@ def draw_is_smooth(model: Model, records) -> bool:
 
     ad.relu, ad.softplus = relu_probe, softplus_probe
     try:
-        synergic_losses(model, *model.tabulate(records))
+        synergic_losses(model, *tabulate(records, model.seen_targets))
     finally:
         ad.relu, ad.softplus = orig_relu, orig_softplus
     return min_kink[0] > KINK_GUARD and max_logit[0] < LOGIT_GUARD
@@ -86,7 +86,7 @@ def smooth_case(seed: int, **kwargs):
 
 
 def analytic_grads(model: Model, records, loss_name: str) -> dict:
-    losses = synergic_losses(model, *model.tabulate(records))
+    losses = synergic_losses(model, *tabulate(records, model.seen_targets))
     ad.backward(losses[loss_name])
     out = {}
     for gname, group in model.groups.items():
@@ -103,7 +103,7 @@ def fd_check_all(model: Model, records, eps: float = 1e-5,
     gradient, for all five losses at once. Returns the worst relative error.
     """
     grads = {name: analytic_grads(model, records, name) for name in LOSS_KEYS}
-    rows = model.tabulate(records)
+    rows = tabulate(records, model.seen_targets)
     worst = 0.0
     for gname, group in model.groups.items():
         for tname, tensor in group.tensors.items():

@@ -18,7 +18,7 @@ from fairfilter import hyperfilter as hf
 from fairfilter import objectives as obj
 from fairfilter.cli import main as cli_main
 from fairfilter.data import (PostRecord, SplitSpec, SyntheticSpec, make_split,
-                             synth_generate, synth_indicators)
+                             membership, synth_generate, synth_indicators)
 from fairfilter.metrics import build_report, harmonic_fairness
 from fairfilter import trainer
 from fairfilter.trainer import TrainConfig, fit
@@ -110,31 +110,32 @@ def test_ensemble_laws(announce):
     rng = np.random.default_rng(7)
     hyper = hf.HyperFilter(d=10, rank=2, depth=2, indicator_dim=5, rng=rng,
                            hidden=8)
-    inds = {f"t{i}": rng.normal(size=5) for i in range(4)}
+    names = [f"t{i}" for i in range(4)]
+    inds = np.stack([rng.normal(size=5) for _ in names])
     s = ad.constant(rng.normal(size=(6, 10)))
 
-    def filtered(table, target_sets):
-        factors, mix = hf.ensemble_params(hyper, table, target_sets)
+    def filtered(stack, targets):
+        factors, mix = hf.ensemble_params(hyper, stack, targets)
         return hf.apply_filter(s, factors, mix).data
 
-    sets = [{"t0", "t2"}, {"t1"}, set(inds), {"t3", "t1"}, {"t0"}, {"t2", "t3"}]
-    forward = filtered(inds, sets)
-    shuffled = {k: inds[k] for k in reversed(list(inds))}
-    backward = filtered(shuffled, sets)
+    sets = [{"t0", "t2"}, {"t1"}, set(names), {"t3", "t1"}, {"t0"}, {"t2", "t3"}]
+    members = membership(sets, names)
+    forward = filtered(inds, members)
+    # stack rows and membership columns permuted together
+    perm = [3, 2, 1, 0]
+    backward = filtered(inds[perm], members[:, perm])
     np.testing.assert_allclose(forward, backward, rtol=0, atol=1e-15)
 
-    # duplicate indicator content under a second name changes nothing
-    single = filtered({"t0": inds["t0"]}, [{"t0"}] * 6)
-    doubled = filtered({"t0": inds["t0"], "alias": inds["t0"].copy()},
-                       [{"t0", "alias"}] * 6)
+    # a duplicated stack row, with both of its columns set, changes nothing
+    single = filtered(inds[:1], np.ones((6, 1)))
+    doubled = filtered(inds[[0, 0]], np.ones((6, 2)))
     np.testing.assert_allclose(single, doubled, rtol=0, atol=1e-15)
 
     # a singleton set is filtered by its own target's filter, exactly, also
-    # when the table holds other targets
-    solo = hf.apply_filter(s, hf.target_theta(hyper, inds["t0"].reshape(1, -1)),
-                           np.ones((6, 1))).data
+    # when the stack holds other targets
+    solo = hf.apply_filter(s, hf.target_theta(hyper, inds[:1]), np.ones((6, 1))).data
     assert np.array_equal(single, solo)
-    assert np.array_equal(filtered(inds, [{"t0"}] * 6), solo)
+    assert np.array_equal(filtered(inds, membership([{"t0"}] * 6, names)), solo)
     announce("[4/9] ensemble laws: PASS "
              "(permutation/duplicate to 1e-15, singleton exact)")
 
@@ -168,15 +169,15 @@ def test_freeze_semantics_across_full_fit(announce, monkeypatch):
     boundaries = {"dis": 0, "filter": 0}
     orig_dis, orig_filter = trainer.phase_discriminator, trainer.phase_filter
 
-    def checked_dis(state, recs, epochs, rng):
+    def checked_dis(state, rows, epochs, rng):
         before = snapshot(state.model, ("enc", "hyper", "hate"))
-        orig_dis(state, recs, epochs, rng)
+        orig_dis(state, rows, epochs, rng)
         assert snapshot(state.model, ("enc", "hyper", "hate")) == before
         boundaries["dis"] += 1
 
-    def checked_filter(state, recs, epochs, rng):
+    def checked_filter(state, rows, epochs, rng):
         before = snapshot(state.model, ("dis",))
-        orig_filter(state, recs, epochs, rng)
+        orig_filter(state, rows, epochs, rng)
         assert snapshot(state.model, ("dis",)) == before
         boundaries["filter"] += 1
 
@@ -271,7 +272,7 @@ def test_alignment_only_training(announce):
     stacked = np.stack([indicators[t] for t in names])
 
     def current_loss():
-        return obj.loss_reg(indicators, hf.filter_gram(hf.target_theta(hyper, stacked)))
+        return obj.loss_reg(stacked, hf.filter_gram(hf.target_theta(hyper, stacked)))
 
     initial = current_loss().item()
     for _ in range(2000):

@@ -230,6 +230,17 @@ def short_indicator_checkpoint(ws):
     return path
 
 
+def filled_checkpoint(ws, key, value):
+    """A copy of the trained checkpoint with entry 0 of array `key` set to `value`."""
+    archive = dict(np.load(ws / "run" / "checkpoint.npz", allow_pickle=False))
+    archive[key] = archive[key].copy()
+    archive[key].flat[0] = value
+    path = ws / "filled.npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, **archive)
+    return path
+
+
 def truncated_checkpoint(ws):
     blob = (ws / "run" / "checkpoint.npz").read_bytes()
     path = ws / "truncated.npz"
@@ -355,6 +366,15 @@ MALFORMED_INPUTS = {
     "export-checkpoint-short-indicator": (5, lambda ws: [
         "export-filters", str(short_indicator_checkpoint(ws)), str(ws / "vectors.txt"),
         "gamma", "-o", str(ws / "f.json")]),
+    "checkpoint-nan-weight": (5, lambda ws: eval_args(
+        ws, checkpoint=filled_checkpoint(ws, "param/hate/W0", np.nan))),
+    "checkpoint-inf-indicator": (5, lambda ws: eval_args(
+        ws, checkpoint=filled_checkpoint(ws, "indicator/alpha", np.inf))),
+    "export-checkpoint-inf-indicator": (5, lambda ws: [
+        "export-filters", str(filled_checkpoint(ws, "indicator/alpha", np.inf)),
+        str(ws / "vectors.txt"), "gamma", "-o", str(ws / "f.json")]),
+    "checkpoint-repeated-seen-target": (5, lambda ws: eval_args(ws, checkpoint=edit_checkpoint(
+        ws, lambda meta: meta["seen_targets"].append(meta["seen_targets"][0])))),
     "checkpoint-truncated": (5, lambda ws: eval_args(
         ws, checkpoint=truncated_checkpoint(ws))),
     "checkpoint-rank-0": (5, lambda ws: eval_args(ws, checkpoint=edit_checkpoint(
@@ -503,8 +523,10 @@ class TestExportFilters:
         th_cos = cos(np.asarray(thetas["alpha"][0].data),
                      np.asarray(thetas["beta"][0].data))
         expected = (th_cos - ind_cos) ** 2
-        flat = np.stack([thetas[name][0].data for name in sorted(thetas)])
-        got = loss_reg(indicators, [ad.constant(flat @ flat.T)]).item()
+        names = sorted(thetas)
+        flat = np.stack([thetas[name][0].data for name in names])
+        got = loss_reg(np.stack([indicators[name] for name in names]),
+                       [ad.constant(flat @ flat.T)]).item()
         assert got == pytest.approx(expected, rel=1e-9)
 
     def test_unknown_target_exits_3(self, workspace, runner):

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from fairfilter import autodiff as ad
 from fairfilter import hyperfilter as hf
-from fairfilter.data import PostRecord
+from fairfilter.data import PostRecord, membership
 from fairfilter.errors import ConfigError, DimensionError, GraphError
-from fairfilter.trainer import Model, TrainConfig
+from fairfilter.trainer import tabulate
 
 
 def make_hyper(d=6, rank=2, depth=2, indicator_dim=3, hidden=8, seed=0):
@@ -36,6 +36,13 @@ class TestArity:
 
 def stack(*vectors):
     return np.stack([np.asarray(v, dtype=np.float64) for v in vectors])
+
+
+def ensemble(hyper, table, target_sets):
+    """`ensemble_params` over a name-keyed table, its rows in sorted-name order."""
+    names = sorted(table)
+    return hf.ensemble_params(hyper, stack(*(table[n] for n in names)),
+                              membership(target_sets, names))
 
 
 class TestGenerateFactors:
@@ -91,7 +98,7 @@ class TestEnsembleParams:
     def test_singleton_equals_target_theta_exactly(self):
         hyper = make_hyper()
         ind = self.indicators(1)
-        single, mix = hf.ensemble_params(hyper, ind, [{"t0"}] * 3)
+        single, mix = hf.ensemble_params(hyper, stack(ind["t0"]), np.ones((3, 1)))
         direct = hf.target_theta(hyper, stack(ind["t0"]))
         for a, b in zip(single, direct):
             for name in ("p", "v"):
@@ -103,7 +110,7 @@ class TestEnsembleParams:
         hyper = make_hyper()
         ind = self.indicators(3)
         sets = [{"t0", "t1", "t2"}, {"t1"}, {"t0", "t2"}]
-        factors, mix = hf.ensemble_params(hyper, ind, sets)
+        factors, mix = ensemble(hyper, ind, sets)
         names = sorted(ind)
         for layer in range(hyper.depth):
             per_target = hf.assemble_theta(factors[layer]).data
@@ -112,23 +119,6 @@ class TestEnsembleParams:
                 expected = np.mean([per_target[names.index(t)] for t in sorted(tset)],
                                    axis=0)
                 np.testing.assert_allclose(mixed[row], expected, atol=1e-15)
-
-    def test_order_invariance_bitwise(self):
-        hyper = make_hyper()
-        ind = self.indicators(4)
-        sets = [{"t0", "t3"}, {"t2"}]
-        fwd, mix_fwd = hf.ensemble_params(hyper, dict(sorted(ind.items())), sets)
-        rev, mix_rev = hf.ensemble_params(
-            hyper, dict(sorted(ind.items(), reverse=True)), sets)
-        assert mix_fwd.tobytes() == mix_rev.tobytes()
-        for a, b in zip(fwd, rev):
-            for name in ("p", "v"):
-                assert getattr(a, name).data.tobytes() == getattr(b, name).data.tobytes()
-        # a target named twice in one post counts once
-        s = ad.constant(np.random.default_rng(2).normal(size=(2, 6)))
-        outs = [hf.apply_filter(s, *hf.ensemble_params(hyper, ind, sets))
-                for sets in ([("t0", "t0"), ("t1", "t2")], [("t0",), ("t1", "t2")])]
-        assert outs[0].data.tobytes() == outs[1].data.tobytes()
 
     def test_one_generator_pass_per_layer(self, monkeypatch):
         # posts sharing targets share graph nodes: however many posts and
@@ -144,24 +134,21 @@ class TestEnsembleParams:
 
         monkeypatch.setattr(hf.HyperFilter, "generate_factors", counted)
         sets = [{"t0"}, {"t0", "t1"}, {"t2", "t3", "t1"}, {"t0"}, {"t3"}]
-        factors, mix = hf.ensemble_params(hyper, ind, sets)
+        factors, mix = ensemble(hyper, ind, sets)
         assert calls == [(4, 3)] * hyper.depth
         assert all(f.p.data.shape[0] == 4 for f in factors)
         assert mix.shape == (5, 4)
 
     def test_empty_target_set_rejected(self):
+        # the membership rows that ensemble_params mixes come from `tabulate`,
+        # which admits no empty target set and no name off the target axis
+        def post(*targets):
+            return PostRecord(id="p", targets=targets, label=0, embedding=np.zeros(6))
+
         with pytest.raises(GraphError):
-            hf.ensemble_params(make_hyper(), {}, [{"t0"}])
-        ind = self.indicators(2)
-        with pytest.raises(GraphError):
-            hf.ensemble_params(make_hyper(), ind, [{"t0"}, set()])
+            tabulate([post("t0"), post()], ["t0", "t1"])
         with pytest.raises(ConfigError, match="ghost"):
-            hf.ensemble_params(make_hyper(), ind, [{"t0", "ghost"}])
-        model = Model(TrainConfig(hidden_dim=6, hyper_hidden=8, head_hidden=4),
-                      d_in=6, indicator_dim=3, seen_targets=sorted(ind), indicators=ind)
-        with pytest.raises(ConfigError, match="ghost"):
-            model.tabulate([PostRecord(id="p", targets=("t0", "ghost"), label=0,
-                                       embedding=np.zeros(6))])
+            tabulate([post("t0", "ghost")], ["t0", "t1"])
 
 
 def dense_as_factors(*thetas):
@@ -244,7 +231,7 @@ class TestFactoredForm:
             k = int(rng.integers(1, n_targets + 1))
             sets.append(set(rng.choice(names, size=k, replace=False).tolist()))
         x = rng.normal(size=(len(sets), d))
-        factors, mix = hf.ensemble_params(hyper, ind, sets)
+        factors, mix = ensemble(hyper, ind, sets)
         out = hf.apply_filter(ad.constant(x), factors, mix)
         np.testing.assert_allclose(out.data, dense_oracle(hyper, ind, sets, x),
                                    rtol=0, atol=1e-12)
@@ -267,7 +254,7 @@ class TestGradientFlow:
         hyper = make_hyper(d=4, rank=1, depth=2, indicator_dim=3)
         rng = np.random.default_rng(9)
         ind = {f"t{i}": rng.normal(size=3) for i in range(2)}
-        factors, mix = hf.ensemble_params(hyper, ind, [{"t0", "t1"}, {"t0"}, {"t1"}])
+        factors, mix = ensemble(hyper, ind, [{"t0", "t1"}, {"t0"}, {"t1"}])
         out = hf.apply_filter(ad.constant(rng.normal(size=(3, 4))), factors, mix)
         ad.backward(ad.tsum(out * out))
         grads = hyper.group.grads

@@ -60,12 +60,27 @@ def random_case(seed, n=200, n_targets=5):
 
 class TestConfusionPerTarget:
     def test_multi_target_post_counts_for_each_mention(self):
-        records = [rec("a", ["x", "y"], 1), rec("b", ["x"], 0)]
-        conf = metrics.confusion_per_target([0.9, 0.9], records)
-        assert conf.per_target["x"].tp == 1
-        assert conf.per_target["y"].tp == 1
-        assert conf.per_target["x"].fp == 1
-        assert conf.overall.total == 2
+        records = [rec("a", ["y", "x"], 1), rec("b", ["x"], 0)]
+        names, tallies = metrics.confusion_per_target([0.9, 0.9], records)
+        assert names == ["x", "y"]
+        # rows: global, x, y; columns tp, fp, tn, fn
+        np.testing.assert_array_equal(tallies, [[1, 1, 0, 0], [1, 1, 0, 0], [1, 0, 0, 0]])
+        assert tallies.dtype.kind == "i"
+
+    def test_tallies_match_brute_force_counts(self):
+        predictions, records = random_case(5)
+        names, tallies = metrics.confusion_per_target(aligned(predictions, records),
+                                                      records, 0.4)
+        assert names == sorted({t for r in records for t in r.targets})
+
+        def brute(subset):
+            hits = [(r.label, predictions[r.id] > 0.4) for r in subset]
+            return [hits.count((1, True)), hits.count((0, True)),
+                    hits.count((0, False)), hits.count((1, False))]
+
+        want = [brute(records)] + [brute([r for r in records if t in r.targets])
+                                   for t in names]
+        np.testing.assert_array_equal(tallies, want)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError, match="1 scores for 2 records"):
@@ -73,8 +88,8 @@ class TestConfusionPerTarget:
                                                  rec("b", ["x"], 0)])
 
     def test_threshold_is_strict(self):
-        conf = metrics.confusion_per_target([0.5], [rec("a", ["x"], 1)], 0.5)
-        assert conf.overall.fn == 1
+        _, tallies = metrics.confusion_per_target([0.5], [rec("a", ["x"], 1)], 0.5)
+        assert tallies[0].tolist() == [0, 0, 0, 1]
 
 
 class TestEqualityDifferences:
@@ -83,7 +98,7 @@ class TestEqualityDifferences:
         records = [rec("a", ["x"], 0), rec("b", ["x"], 0), rec("c", ["y"], 0),
                    rec("d", ["x"], 1), rec("e", ["y"], 1), rec("f", ["y"], 1)]
         conf = metrics.confusion_per_target([0.9, 0.1, 0.1, 0.9, 0.9, 0.1], records)
-        nfped, nfned, exc_p, exc_n = metrics.equality_differences(conf)
+        nfped, nfned, exc_p, exc_n = metrics.equality_differences(*conf)
         # x: fpr=1/2, fnr=0; y: fpr=0, fnr=1/2; overall fpr=fnr=1/3
         assert nfped == pytest.approx((abs(1/3 - 1/2) + abs(1/3 - 0)) / 2)
         assert nfned == pytest.approx((abs(1/3 - 0) + abs(1/3 - 1/2)) / 2)
@@ -93,7 +108,7 @@ class TestEqualityDifferences:
         # target y has no negatives so its FPR is undefined
         records = [rec("a", ["x"], 0), rec("b", ["x"], 0), rec("c", ["y"], 1)]
         conf = metrics.confusion_per_target([0.9, 0.1, 0.9], records)
-        nfped, nfned, exc_p, exc_n = metrics.equality_differences(conf)
+        nfped, nfned, exc_p, exc_n = metrics.equality_differences(*conf)
         assert exc_p == ["y"]
         assert exc_n == ["x"]
         # only x contributes to nFPED: |overall 1/2 - 1/2| = 0
@@ -105,7 +120,7 @@ class TestEqualityDifferences:
     def test_matches_brute_force(self, seed):
         predictions, records = random_case(seed)
         conf = metrics.confusion_per_target(aligned(predictions, records), records)
-        nfped, nfned, _, _ = metrics.equality_differences(conf)
+        nfped, nfned, _, _ = metrics.equality_differences(*conf)
         exp_p, exp_n = brute_force_report(predictions, records)
         assert nfped == pytest.approx(exp_p, abs=1e-12)
         assert nfned == pytest.approx(exp_n, abs=1e-12)
@@ -115,7 +130,7 @@ class TestEqualityDifferences:
         conf1 = metrics.confusion_per_target(aligned(predictions, records), records)
         conf2 = metrics.confusion_per_target(aligned(predictions, records[::-1]),
                                              records[::-1])
-        assert metrics.equality_differences(conf1) == metrics.equality_differences(conf2)
+        assert metrics.equality_differences(*conf1) == metrics.equality_differences(*conf2)
 
 
 class TestHarmonicFairness:
@@ -200,7 +215,7 @@ class TestBuildReport:
         scores = aligned(predictions, records)
         report = metrics.build_report(scores, records, threshold=0.4)
         conf = metrics.confusion_per_target(scores, records, 0.4)
-        nfped, nfned, _, _ = metrics.equality_differences(conf)
+        nfped, nfned, _, _ = metrics.equality_differences(*conf)
         assert report.nfped == nfped and report.nfned == nfned
         assert report.hf == metrics.harmonic_fairness(nfped, nfned)
         assert report.metadata["threshold"] == 0.4

@@ -104,6 +104,11 @@ class TestLossImi:
         assert obj.loss_imi(a, b).item() >= 0.0
 
 
+def rows(indicators):
+    """Name-keyed indicators as a stack, names sorted as `grams` sorts them."""
+    return np.stack([np.asarray(indicators[n], dtype=np.float64) for n in sorted(indicators)])
+
+
 def grams(flat_thetas):
     """Per-layer Gram matrices of flattened filter parameters, names sorted."""
     names = sorted(flat_thetas)
@@ -120,7 +125,7 @@ class TestLossReg:
         indicators = {"a": np.asarray([1.0, 0.0]), "b": np.asarray([0.0, 1.0])}
         # orthogonal flattened parameters match the orthogonal indicators
         thetas = {"a": [[1.0, 0.0, 0.0]], "b": [[0.0, 2.0, 0.0]]}
-        assert obj.loss_reg(indicators, grams(thetas)).item() == pytest.approx(0.0, abs=1e-12)
+        assert obj.loss_reg(rows(indicators), grams(thetas)).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_gap_per_layer_and_pair(self):
         # indicator cosine 0, parameter cosine 1: each pair-layer adds 1
@@ -130,33 +135,47 @@ class TestLossReg:
         thetas = {k: same for k in indicators}
         # pairs (a,b) and (b,c) have indicator cos 0; (a,c) has cos 1
         expected = 2 * 2 * 1.0
-        assert obj.loss_reg(indicators, grams(thetas)).item() == pytest.approx(expected, abs=1e-12)
+        assert obj.loss_reg(rows(indicators), grams(thetas)).item() == pytest.approx(expected, abs=1e-12)
 
     def test_scale_invariance_of_the_cosine(self):
         indicators = {"a": np.asarray([1.0, 1.0]), "b": np.asarray([1.0, -1.0])}
         base = {"a": [np.asarray([0.3, 0.4])], "b": [np.asarray([-0.8, 0.1])]}
         scaled = {"a": [base["a"][0] * 7.0], "b": [base["b"][0] * 0.01]}
-        assert obj.loss_reg(indicators, grams(base)).item() == pytest.approx(
-            obj.loss_reg(indicators, grams(scaled)).item(), abs=1e-12)
+        assert obj.loss_reg(rows(indicators), grams(base)).item() == pytest.approx(
+            obj.loss_reg(rows(indicators), grams(scaled)).item(), abs=1e-12)
+
+    def test_joint_permutation_of_stack_and_grams(self):
+        # a target is a position: permuting the stack's rows together with
+        # every Gram matrix's rows and columns names the same pairs
+        rng = np.random.default_rng(4)
+        indicators = rng.normal(size=(5, 4))
+        layers = [tensor(f @ f.T) for f in rng.normal(size=(2, 5, 7))]
+        perm = rng.permutation(5)
+        moved = [tensor(g.data[perm][:, perm]) for g in layers]
+        base = obj.loss_reg(indicators, layers).item()
+        assert obj.loss_reg(indicators[perm], moved).item() == pytest.approx(
+            base, rel=0, abs=1e-12)
+        # permuting the stack alone pairs other cosines
+        assert abs(obj.loss_reg(indicators[perm], layers).item() - base) > 1e-3
 
     def test_single_target_rejected(self):
         with pytest.raises(ConfigError):
-            obj.loss_reg({"a": np.ones(2)}, grams({"a": [[1.0]]}))
+            obj.loss_reg(np.ones((1, 2)), grams({"a": [[1.0]]}))
 
     def test_zero_norm_is_flagged(self):
         indicators = {"a": np.asarray([1.0, 0.0]), "b": np.asarray([0.0, 0.0])}
         thetas = {"a": [[1.0]], "b": [[1.0]]}
         with pytest.raises(GraphError, match="degenerate"):
-            obj.loss_reg(indicators, grams(thetas))
+            obj.loss_reg(rows(indicators), grams(thetas))
         indicators["b"] = np.asarray([0.0, 1.0])
         thetas["b"] = [[0.0]]
         with pytest.raises(GraphError, match="degenerate"):
-            obj.loss_reg(indicators, grams(thetas))
+            obj.loss_reg(rows(indicators), grams(thetas))
 
     def test_gram_shape_must_match_the_target_count(self):
         indicators = {"a": np.asarray([1.0, 0.0]), "b": np.asarray([0.0, 1.0])}
         with pytest.raises(DimensionError):
-            obj.loss_reg(indicators, [tensor(np.eye(3))])
+            obj.loss_reg(rows(indicators), [tensor(np.eye(3))])
 
 
 class TestSynergic:

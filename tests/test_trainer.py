@@ -51,13 +51,17 @@ def tiny_model(config=None, targets=("a", "b"), d_in=4):
                  seen_targets=list(targets), indicators=ind)
 
 
+def seen_rows(model, records):
+    """The records tabulated on the model's seen-target axis, as `fit` does."""
+    return trainer.tabulate(records, model.seen_targets)
+
+
 def taped_filter_batch(model, records):
     """`filter_batch` over the records' tabulated rows with the seen targets'
     filters, as a training step runs it."""
-    x, _, targets = model.tabulate(records)
-    factors = trainer.hf.target_theta(
-        model.hyper, np.stack([model.indicators[t] for t in model.seen_targets]))
-    return model.filter_batch(x, factors, targets / targets.sum(axis=1, keepdims=True))
+    x, _, targets = seen_rows(model, records)
+    return model.filter_batch(x, *trainer.hf.ensemble_params(
+        model.hyper, model.seen_indicators, targets))
 
 
 def assert_names_the_batch(error, records):
@@ -91,7 +95,7 @@ class TestModel:
         model = tiny_model(targets=("a", "b", "c"))
         records = [PostRecord(id="x", targets=("c", "a"), label=1,
                               embedding=np.arange(4.0))]
-        x, y, targets = model.tabulate(records)
+        x, y, targets = seen_rows(model, records)
         np.testing.assert_array_equal(x, [[0.0, 1.0, 2.0, 3.0]])
         np.testing.assert_array_equal(y, [1])
         np.testing.assert_array_equal(targets, [[1, 0, 1]])
@@ -106,11 +110,13 @@ class TestModel:
         records = [PostRecord(id=f"r{i}", targets=tset, label=i % 2,
                               embedding=np.full(4, i + 1.0))
                    for i, tset in enumerate([("c",), ("a",), ("b", "c")])]
-        _, _, targets = shuffled.tabulate(records)
+        _, _, targets = seen_rows(shuffled, records)
         np.testing.assert_array_equal(targets, [[0, 0, 1], [1, 0, 0], [0, 1, 1]])
+        np.testing.assert_array_equal(shuffled.seen_indicators,
+                                      np.stack([ind[t] for t in ("a", "b", "c")]))
         records = tiny_records(12, targets=("a", "b", "c"))
-        got = trainer.synergic_losses(shuffled, *shuffled.tabulate(records))
-        want = trainer.synergic_losses(ordered, *ordered.tabulate(records))
+        got = trainer.synergic_losses(shuffled, *seen_rows(shuffled, records))
+        want = trainer.synergic_losses(ordered, *seen_rows(ordered, records))
         assert {k: v.data.tobytes() for k, v in got.items()} \
             == {k: v.data.tobytes() for k, v in want.items()}
 
@@ -118,6 +124,20 @@ class TestModel:
         with pytest.raises(ConfigError, match="ghost"):
             Model(tiny_config(), d_in=4, indicator_dim=3,
                   seen_targets=["a", "ghost"], indicators=tiny_indicators(("a",)))
+
+    def test_misshapen_indicator_rejected(self):
+        ind = tiny_indicators(("a", "b"))
+        ind["b"] = ind["b"][:2]
+        with pytest.raises(ConfigError, match=r"\(3,\) indicator .*\['b'\]"):
+            Model(tiny_config(), d_in=4, indicator_dim=3, seen_targets=["a", "b"],
+                  indicators=ind)
+
+    def test_repeated_seen_target_rejected(self):
+        # a repeated name would open a second discriminator output and filter
+        # row for one target, with a membership column no post ever sets
+        with pytest.raises(ConfigError, match=r"more than once: \['a'\]"):
+            Model(tiny_config(), d_in=4, indicator_dim=3, seen_targets=["a", "a", "b"],
+                  indicators=tiny_indicators(("a", "b")))
 
     def test_filter_batch_keeps_input_order(self):
         model = tiny_model()
@@ -169,7 +189,8 @@ class TestModel:
             return built[-1]
 
         monkeypatch.setattr(Model, "filter_batch", recording)
-        chunks = list(model.embed(records, model.indicators))
+        x, _, targets = seen_rows(model, records)
+        chunks = list(model.embed(x, targets, model.seen_indicators))
         assert [len(c) for c, _ in chunks] == [min(batch_size, 40 - start)
                                                for start in range(0, 40, batch_size)]
         assert len(built) == len(chunks)
@@ -190,6 +211,20 @@ class TestModel:
         rev = model.predict(records[::-1], ind)
         np.testing.assert_array_equal(fwd, rev[::-1])
 
+
+    def test_predict_is_bitwise_invariant_to_target_order(self):
+        # predict fixes the target axis (sorted names), so neither the order
+        # of the indicator table nor that of a record's targets can move a bit;
+        # a target named twice in one record counts once
+        model = tiny_model(targets=("a", "b", "c"))
+        records = tiny_records(20, targets=("a", "b", "c"))
+        ind = tiny_indicators(("a", "b", "c", "d"))
+        want = model.predict(records, ind)
+        reordered = [PostRecord(id=r.id, targets=r.targets[::-1] + r.targets[:1],
+                                label=r.label, embedding=r.embedding) for r in records]
+        assert any(len(r.targets) > 1 for r in records)
+        got = model.predict(reordered, dict(reversed(list(ind.items()))))
+        assert got.tobytes() == want.tobytes()
 
     def test_predict_does_not_depend_on_batch_size(self):
         records = tiny_records(40, targets=("a", "b", "c"))
@@ -254,7 +289,7 @@ class TestModel:
         model = tiny_model()
         for group in model.groups.values():
             group.freeze()
-        losses = trainer.synergic_losses(model, *model.tabulate(tiny_records(10)))
+        losses = trainer.synergic_losses(model, *seen_rows(model, tiny_records(10)))
         for loss in losses.values():
             assert not loss.requires_grad and loss._parents == ()
 
@@ -265,7 +300,7 @@ class TestPhases:
         state = trainer.TrainState(model=model, adam={
             k: ad.AdamState() for k in model.groups})
         before = model.discriminator.group.state_dict()
-        trainer.phase_filter(state, tiny_records(20), epochs=2,
+        trainer.phase_filter(state, seen_rows(model, tiny_records(20)), epochs=2,
                              rng=np.random.default_rng(0))
         after = model.discriminator.group.state_dict()
         for k in before:
@@ -276,8 +311,8 @@ class TestPhases:
         state = trainer.TrainState(model=model, adam={
             k: ad.AdamState() for k in model.groups})
         before = {n: model.groups[n].state_dict() for n in ("enc", "hyper", "hate")}
-        trainer.phase_discriminator(state, tiny_records(20), epochs=2,
-                                    rng=np.random.default_rng(0))
+        trainer.phase_discriminator(state, seen_rows(model, tiny_records(20)),
+                                    epochs=2, rng=np.random.default_rng(0))
         for n, saved in before.items():
             after = model.groups[n].state_dict()
             for k in saved:
@@ -288,8 +323,8 @@ class TestPhases:
         state = trainer.TrainState(model=model, adam={
             k: ad.AdamState() for k in model.groups})
         before = model.discriminator.group.state_dict()
-        trainer.phase_discriminator(state, tiny_records(20), epochs=1,
-                                    rng=np.random.default_rng(0))
+        trainer.phase_discriminator(state, seen_rows(model, tiny_records(20)),
+                                    epochs=1, rng=np.random.default_rng(0))
         moved = any(not np.array_equal(before[k],
                                        model.discriminator.group.tensors[k].data)
                     for k in before)
@@ -307,8 +342,8 @@ class TestPhases:
         model = tiny_model()
         state = trainer.TrainState(model=model, adam={
             k: ad.AdamState() for k in model.groups})
-        trainer.phase_discriminator(state, tiny_records(20), epochs=2,
-                                    rng=np.random.default_rng(0))
+        trainer.phase_discriminator(state, seen_rows(model, tiny_records(20)),
+                                    epochs=2, rng=np.random.default_rng(0))
         assert state.global_step == 4
         assert len(calls) == 1
 
@@ -319,11 +354,15 @@ class TestPhases:
         model.discriminator.group.tensors["W2"].data[:] = np.nan
         records = tiny_records(8)
         with pytest.raises(DivergenceError, match="discriminator loss") as err:
-            trainer.phase_discriminator(state, records, epochs=1,
+            trainer.phase_discriminator(state, seen_rows(model, records), epochs=1,
                                         rng=np.random.default_rng(0))
         assert_names_the_batch(err.value, records)
 
     def test_filter_phase_reads_tabulated_rows(self, monkeypatch):
+        model = tiny_model(tiny_config(batch_size=8))
+        state = trainer.TrainState(model=model, adam={
+            k: ad.AdamState() for k in model.groups})
+        rows = seen_rows(model, tiny_records(20))
         calls = {"ensemble_params": 0, "membership": 0}
 
         def counting(name, fn):
@@ -335,15 +374,13 @@ class TestPhases:
         monkeypatch.setattr(trainer.hf, "ensemble_params",
                             counting("ensemble_params", trainer.hf.ensemble_params))
         membership = counting("membership", data.membership)
-        for module in (data, trainer.hf, trainer, metrics):
+        for module in (data, trainer, metrics):
             monkeypatch.setattr(module, "membership", membership)
-        model = tiny_model(tiny_config(batch_size=8))
-        state = trainer.TrainState(model=model, adam={
-            k: ad.AdamState() for k in model.groups})
-        trainer.phase_filter(state, tiny_records(20), epochs=2,
-                             rng=np.random.default_rng(0))
+        trainer.phase_filter(state, rows, epochs=2, rng=np.random.default_rng(0))
+        # no record is read again, and each step forms its mixing rows in the
+        # one place they are formed
         assert state.global_step == 6
-        assert calls == {"ensemble_params": 0, "membership": 1}
+        assert calls == {"ensemble_params": 6, "membership": 0}
 
     def test_non_finite_loss_raises_divergence(self):
         model = tiny_model()
@@ -353,7 +390,7 @@ class TestPhases:
         model.classifier.group.tensors["W2"].data[:] = np.nan
         records = tiny_records(8)
         with pytest.raises(DivergenceError, match="synergic loss") as err:
-            trainer.phase_filter(state, records, epochs=1,
+            trainer.phase_filter(state, seen_rows(model, records), epochs=1,
                                  rng=np.random.default_rng(0))
         assert_names_the_batch(err.value, records)
 
@@ -405,6 +442,21 @@ class TestFit:
                             lambda *args: pytest.fail("training started"))
         with pytest.raises(DataError, match="record 'bare' carries no embedding"):
             trainer.fit(tiny_config(), split, tiny_indicators())
+
+    def test_training_posts_tabulated_once_per_fit(self, monkeypatch):
+        split = tiny_split()
+        tabulated = []
+        tabulate = trainer.tabulate
+
+        def recording(records, names):
+            tabulated.append(records)
+            return tabulate(records, names)
+
+        monkeypatch.setattr(trainer, "tabulate", recording)
+        state = trainer.fit(tiny_config(max_rounds=3), split, tiny_indicators())
+        assert [r is split.train for r in tabulated].count(True) == 1
+        # the rest is validation, scored once per round
+        assert len(tabulated) == 1 + len(state.val_history) == 4
 
     def test_telemetry_csv(self, tmp_path):
         state = trainer.fit(tiny_config(max_rounds=1), tiny_split(),
