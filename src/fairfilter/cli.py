@@ -21,13 +21,13 @@ from . import __version__
 from . import hyperfilter as hfilt
 from .autodiff import no_grad
 from .config import parse_kv_file, split_spec_from, synth_spec_from, train_config_from
-from .data import (load_jsonl, make_split, save_json, save_jsonl, synth_generate,
-                   synth_indicators)
-from .embeddings import build_indicator, load_word_vectors, save_word_vectors, tokenize_target
+from .data import (load_jsonl, make_split, save_json, save_jsonl, select_records,
+                   synth_generate, synth_indicators)
+from .embeddings import load_word_vectors, save_word_vectors, tokenize_target
 from .errors import ConfigError, DataError, FairFilterError, utf8_or
 from .metrics import build_report
-from .trainer import (check_vector_width, checkpoint_load, checkpoint_save,
-                      eval_indicators, fit, write_telemetry)
+from .trainer import (checkpoint_load, checkpoint_save, eval_indicators, fit,
+                      resolve_indicators, write_telemetry)
 
 
 def _sha256(path) -> str:
@@ -67,6 +67,15 @@ def _exits(fn):
             sys.exit(5)
 
     return wrapper
+
+
+def _resolve(names, store, model=None):
+    """`resolve_indicators`, raising the first failure; returns indicators, warnings."""
+    resolved, messages = resolve_indicators(names, store, model)
+    for name, message in messages.items():
+        if name not in resolved:
+            raise DataError(message)
+    return resolved, list(messages.values())
 
 
 @click.group()
@@ -122,12 +131,11 @@ def train(config_file, corpus, vectors, out_dir):
     corpus_targets = {t for r in records for t in r.targets}
     split_spec = split_spec_from(kv, corpus_targets)
     split = make_split(records, split_spec)
-    store = load_word_vectors(vectors)
-    indicators = {}
-    for name in sorted(corpus_targets):
-        indicators[name] = build_indicator(name, store).vector
+    resolved, warn = _resolve(sorted(corpus_targets), load_word_vectors(vectors))
+    for message in warn:
+        click.echo(f"warning: {message}", err=True)
 
-    state = fit(config, split, indicators)
+    state = fit(config, split, {t: ind.vector for t, ind in resolved.items()})
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -143,7 +151,7 @@ def train(config_file, corpus, vectors, out_dir):
                     [config_file, corpus, vectors],
                     [ckpt, out / "training_log.csv", out / "history.json",
                      out / "split_manifest.json"],
-                    seed=config.seed)
+                    seed=config.seed, warnings=warn)
     click.echo(f"best round {state.best_round}, checkpoint at {ckpt}")
 
 
@@ -163,12 +171,7 @@ def _select_records(corpus, split_manifest, split_name):
     ids = manifest[split_name]
     if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
         raise DataError(f"split '{split_name}' in {split_manifest} is not a list of ids")
-    wanted = set(ids)
-    selected = [r for r in records if r.id in wanted]
-    if len(selected) != len(wanted):
-        missing = wanted - {r.id for r in selected}
-        raise DataError(f"split ids missing from corpus: {sorted(missing)[:5]} ...")
-    return selected
+    return select_records(records, ids, "split")
 
 
 @main.command(name="eval")
@@ -190,8 +193,7 @@ def eval_cmd(checkpoint, corpus, vectors, out_dir, split_manifest, split_name):
     records = _select_records(corpus, split_manifest, split_name)
     if not records:
         raise DataError("no records selected for evaluation")
-    store = load_word_vectors(vectors)
-    indicators, usable, warn = eval_indicators(model, records, store)
+    indicators, usable, warn = eval_indicators(model, records, load_word_vectors(vectors))
     for message in warn:
         click.echo(f"warning: {message}", err=True)
     if not usable:
@@ -242,23 +244,14 @@ def export_filters(checkpoint, vectors, targets, out):
     projection/visualization tooling.
     """
     model = checkpoint_load(checkpoint)
-    store = load_word_vectors(vectors)
-    check_vector_width(model, store)
-    entries = []
-    for name in targets:
-        if name in model.indicators:
-            vector = model.indicators[name]
-            tokens, skipped = tokenize_target(name), []
-        else:
-            ind = build_indicator(name, store)
-            vector, tokens, skipped = ind.vector, ind.tokens, ind.skipped
-        entries.append({
-            "name": name,
-            "tokens": tokens,
-            "skipped_tokens": skipped,
-            "seen_in_training": name in model.indicators,
-            "indicator": [float(v) for v in vector],
-        })
+    resolved, _ = _resolve(targets, load_word_vectors(vectors), model)
+    entries = [{
+        "name": name,
+        "tokens": resolved[name].tokens,
+        "skipped_tokens": resolved[name].skipped,
+        "seen_in_training": name in model.seen_targets,
+        "indicator": [float(v) for v in resolved[name].vector],
+    } for name in targets]
     with no_grad():
         thetas = [hfilt.assemble_theta(f).data for f in hfilt.target_theta(
             model.hyper, np.array([entry["indicator"] for entry in entries]))]
@@ -308,10 +301,7 @@ def metrics_cmd(predictions, corpus, out, threshold):
             scores[row["id"]] = score
     if not scores:
         raise DataError(f"predictions file '{predictions}' is empty")
-    records = [r for r in load_jsonl(corpus) if r.id in scores]
-    missing = set(scores) - {r.id for r in records}
-    if missing:
-        raise DataError(f"prediction ids missing from corpus: {sorted(missing)[:5]} ...")
+    records = select_records(load_jsonl(corpus), scores, "prediction")
     report = build_report([scores[r.id] for r in records], records, threshold=threshold,
                           metadata={"source": str(predictions)})
     report.save(out)

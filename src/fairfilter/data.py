@@ -52,10 +52,13 @@ class PostRecord:
 def membership(target_sets: Sequence[Collection[str]], names: Sequence[str]) -> np.ndarray:
     """The (n, T) 0/1 matrix of which of `names` each post's target set names.
 
-    A name repeated within a set counts once. An unknown name raises
-    ConfigError, an empty set GraphError.
+    A name repeated within a set counts once; an unknown name, or one listed
+    twice in `names`, raises ConfigError, and an empty set GraphError.
     """
     column = {name: j for j, name in enumerate(names)}
+    if len(column) < len(names):
+        repeated = sorted({n for n in names if list(names).count(n) > 1})
+        raise ConfigError(f"target names listed more than once: {repeated}")
     out = np.zeros((len(target_sets), len(names)))
     for row, tset in zip(out, target_sets):
         if not tset:
@@ -65,6 +68,17 @@ def membership(target_sets: Sequence[Collection[str]], names: Sequence[str]) -> 
                 raise ConfigError(f"unknown target '{t}'")
             row[column[t]] = 1.0
     return out
+
+
+def select_records(records: list[PostRecord], ids, what: str) -> list[PostRecord]:
+    """The records whose id is in `ids`, in corpus order; ids that no record
+    has raise DataError, naming the first five as `what` ids."""
+    wanted = set(ids)
+    selected = [r for r in records if r.id in wanted]
+    missing = wanted.difference(r.id for r in selected)
+    if missing:
+        raise DataError(f"{what} ids missing from corpus: {sorted(missing)[:5]} ...")
+    return selected
 
 
 @dataclass

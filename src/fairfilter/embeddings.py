@@ -2,8 +2,9 @@
 
 Target indicators are the mean of a target name's word vectors; they are the
 hypernetwork's conditioning input and require no training, which is what
-makes zero-shot filters for unseen targets possible. `encode_posts` reads
-embedding rows, as `stack_embeddings` builds them from records.
+makes zero-shot filters for unseen targets possible (`build_indicator`, which
+only `trainer.resolve_indicators` calls). `encode_posts` reads embedding
+rows, as `stack_embeddings` builds them from records.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class WordVectorStore:
 class TargetIndicator:
     """A target's indicator vector plus the tokens that produced it."""
 
-    name: str
     tokens: list[str]
     skipped: list[str]
     vector: np.ndarray
@@ -98,7 +98,7 @@ def build_indicator(name: str, store: WordVectorStore) -> TargetIndicator:
     vector = np.mean(vecs, axis=0)
     if not np.any(vector):
         raise DataError(f"target '{name}': its word vectors average to all zeros")
-    return TargetIndicator(name=name, tokens=found, skipped=skipped, vector=vector)
+    return TargetIndicator(tokens=found, skipped=skipped, vector=vector)
 
 
 class EncoderAdapter:

@@ -17,6 +17,8 @@ is the groups it trains plus its loss function (`discriminator_losses` or
 `Model.embed` is the one no-tape embedding path, over rows: `Model.predict`
 tabulates posts on their own sorted targets and reads it, and the
 discriminator phase, whose filters are frozen, reads it once per phase.
+`resolve_indicators` is the one lookup from target names to indicators, for
+training, scoring (through `eval_indicators`) and filter export alike.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from . import hyperfilter as hf
 from . import objectives as obj
 from .autodiff import AdamState, ParamGroup, Tensor
 from .data import CorpusSplit, PostRecord, membership
-from .embeddings import (EncoderAdapter, WordVectorStore, build_indicator,
-                         encode_posts, stack_embeddings)
+from .embeddings import (EncoderAdapter, TargetIndicator, WordVectorStore, build_indicator,
+                         encode_posts, stack_embeddings, tokenize_target)
 from .errors import (CheckpointError, ConfigError, DataError, DimensionError,
                      DivergenceError)
 from .heads import ClassifierHead, DiscriminatorHead
@@ -111,9 +113,8 @@ class Model:
         self.d_in = d_in
         self.indicator_dim = indicator_dim
         self.seen_targets = sorted(seen_targets)  # the training target axis
-        self.indicators = {t: np.asarray(indicators[t], dtype=np.float64)
-                           for t in self.seen_targets}
-        self.seen_indicators = np.stack([self.indicators[t] for t in self.seen_targets])
+        self.seen_indicators = np.stack([np.asarray(indicators[t], dtype=np.float64)
+                                         for t in self.seen_targets])
         d = config.hidden_dim
         rng = np.random.default_rng(config.seed)
         self.adapter = EncoderAdapter(d_in, d, rng, depth=config.adapter_depth)
@@ -288,9 +289,11 @@ def fit(config: TrainConfig, split: CorpusSplit,
     if not split.train:
         raise DataError("empty training split")
     seen = sorted({t for r in split.train for t in r.targets})
-    d_in = stack_embeddings(split.train + split.validation).shape[1]
+    rows = tabulate(split.train, seen)
+    if split.validation:  # a post without an embedding fails before any step
+        stack_embeddings(split.validation)
     indicator_dim = len(next(iter(indicators.values())))
-    model = Model(config, d_in, indicator_dim, seen, indicators)
+    model = Model(config, rows[0].shape[1], indicator_dim, seen, indicators)
     missing = sorted({t for r in split.validation for t in r.targets} - indicators.keys())
     if missing:
         raise ConfigError(f"no indicator for validation targets {missing}")
@@ -300,7 +303,6 @@ def fit(config: TrainConfig, split: CorpusSplit,
             "hate": AdamState(lr=config.lr)}
     state = TrainState(model=model, adam=adam)
     rng = np.random.default_rng(config.seed + 1)
-    rows = tabulate(split.train, model.seen_targets)
 
     rounds_since_best = 0
     for round_no in range(config.max_rounds):
@@ -349,8 +351,8 @@ def checkpoint_save(model: Model, path) -> None:
     for gname, group in sorted(model.groups.items()):
         for tname, tensor in sorted(group.tensors.items()):
             payload[f"param/{gname}/{tname}"] = tensor.data
-    for target in model.seen_targets:
-        payload[f"indicator/{target}"] = model.indicators[target]
+    for target, row in zip(model.seen_targets, model.seen_indicators):
+        payload[f"indicator/{target}"] = row
     meta = {
         "version": CHECKPOINT_VERSION,
         "d_in": model.d_in,
@@ -405,38 +407,42 @@ def checkpoint_load(path) -> Model:
     return model
 
 
-def check_vector_width(model: Model, store: WordVectorStore) -> None:
-    if store.dim != model.indicator_dim:
+def resolve_indicators(names, store: WordVectorStore, model: Model | None = None
+                       ) -> tuple[dict[str, TargetIndicator], dict[str, str]]:
+    """The indicators of `names`, in their order, and a message per name.
+
+    `model`'s seen targets keep their stored indicators; other names are built
+    from `store`. A name that cannot be resolved is left out, its message the
+    DataError's; one built with out-of-vocabulary tokens skipped gets a warning.
+    """
+    if model is not None and store.dim != model.indicator_dim:
         raise DataError(f"word vectors have {store.dim} entries, the checkpoint's "
                         f"indicators {model.indicator_dim}")
+    stored = dict(zip(model.seen_targets, model.seen_indicators)) if model else {}
+    resolved, messages = {}, {}
+    for name in names:
+        try:
+            resolved[name] = (TargetIndicator(tokenize_target(name), [], stored[name])
+                              if name in stored else build_indicator(name, store))
+        except DataError as exc:
+            messages[name] = str(exc)
+        else:
+            if resolved[name].skipped:
+                messages[name] = f"target '{name}': skipped OOV tokens {resolved[name].skipped}"
+    return resolved, messages
 
 
 def eval_indicators(model: Model, records: list[PostRecord], store: WordVectorStore
                     ) -> tuple[dict[str, np.ndarray], list[PostRecord], list[str]]:
-    """Indicator table covering the records' targets, built on the fly.
+    """Indicators of the records' targets, resolved in order of first appearance.
 
-    Unresolvable targets (no word vectors) exclude their records; returns
-    (indicators, usable records, warning messages).
+    Unresolvable targets exclude their records; returns (indicators, usable
+    records, warning messages).
     """
-    check_vector_width(model, store)
-    indicators = dict(model.indicators)
-    warnings_out: list[str] = []
-    bad_targets: set[str] = set()
-    # distinct targets in order of first appearance, so warnings keep their order
-    for t in dict.fromkeys(t for r in records for t in r.targets):
-        if t in indicators:
-            continue
-        try:
-            ind = build_indicator(t, store)
-        except DataError as exc:
-            bad_targets.add(t)
-            warnings_out.append(str(exc))
-            continue
-        if ind.skipped:
-            warnings_out.append(f"target '{t}': skipped OOV tokens {ind.skipped}")
-        indicators[t] = ind.vector
-    if not bad_targets:
-        return indicators, list(records), warnings_out
+    resolved, messages = resolve_indicators(
+        dict.fromkeys(t for r in records for t in r.targets), store, model)
+    warnings_out = list(messages.values())
+    bad_targets = messages.keys() - resolved.keys()
     usable = []
     for r in records:
         dropped = bad_targets.intersection(r.targets)
@@ -445,4 +451,4 @@ def eval_indicators(model: Model, records: list[PostRecord], store: WordVectorSt
                 f"record '{r.id}' excluded (unresolvable targets {sorted(dropped)})")
         else:
             usable.append(r)
-    return indicators, usable, warnings_out
+    return {t: ind.vector for t, ind in resolved.items()}, usable, warnings_out

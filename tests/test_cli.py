@@ -535,3 +535,42 @@ class TestExportFilters:
             str(workspace / "vectors.txt"), "martian",
             "-o", str(workspace / "f.json")])
         assert res.exit_code == 3
+
+
+def test_skipped_token_reported_by_train_eval_and_export(tmp_path, runner):
+    # 'black_women' is the unseen target, and its token 'women' has no vector
+    spec = tmp_path / "synth.cfg"
+    spec.write_text(SYNTH_SPEC.replace("gamma", "black_women"))
+    corpus, full = tmp_path / "corpus.jsonl", tmp_path / "full.txt"
+    res = runner.invoke(main, ["synth", str(spec), "-o", str(corpus),
+                               "--vectors-out", str(full)])
+    assert res.exit_code == 0, res.output
+    vectors = text_file(tmp_path, "vectors.txt", "".join(
+        line + "\n" for line in full.read_text().splitlines()
+        if not line.startswith("women ")))
+    warning = "target 'black_women': skipped OOV tokens ['women']"
+
+    cfg = text_file(tmp_path, "train.cfg", TRAIN_CFG.replace("gamma", "black_women"))
+    res = runner.invoke(main, ["train", str(cfg), str(corpus), str(vectors),
+                               "-o", str(tmp_path / "run")])
+    assert res.exit_code == 0, res.output
+    assert f"warning: {warning}" in res.stderr.splitlines()
+    assert json.loads((tmp_path / "run" / "manifest.json").read_text())["warnings"] \
+        == [warning]
+
+    checkpoint = tmp_path / "run" / "checkpoint.npz"
+    res = runner.invoke(main, ["eval", str(checkpoint), str(corpus), str(vectors),
+                               "-o", str(tmp_path / "eval")])
+    assert res.exit_code == 0, res.output
+    assert f"warning: {warning}" in res.stderr.splitlines()
+    assert json.loads((tmp_path / "eval" / "manifest.json").read_text())["warnings"] \
+        == [warning]
+
+    out = tmp_path / "filters.json"
+    res = runner.invoke(main, ["export-filters", str(checkpoint), str(vectors),
+                               "black_women", "alpha", "-o", str(out)])
+    assert res.exit_code == 0, res.output
+    entries = {e["name"]: e for e in json.loads(out.read_text())["filters"]}
+    assert entries["black_women"]["skipped_tokens"] == ["women"]
+    assert entries["black_women"]["tokens"] == ["black"]
+    assert entries["alpha"]["skipped_tokens"] == []

@@ -80,6 +80,24 @@ def rec(rid, targets, label=0, dim=2):
                       embedding=np.zeros(dim))
 
 
+class TestMembership:
+    def test_name_listed_twice_rejected(self):
+        # a second column for one name is a column no post can set
+        with pytest.raises(ConfigError, match=r"more than once: \['a'\]"):
+            data.membership([("a",)], ["a", "b", "a"])
+
+
+class TestSelectRecords:
+    def test_keeps_corpus_order(self):
+        records = [rec(f"p{i}", ["a"]) for i in range(4)]
+        picked = data.select_records(records, ["p3", "p0", "p3"], "split")
+        assert [r.id for r in picked] == ["p0", "p3"]
+
+    def test_missing_ids_named(self):
+        with pytest.raises(DataError, match=r"prediction ids missing from corpus: \['q'\]"):
+            data.select_records([rec("p0", ["a"])], {"p0", "q"}, "prediction")
+
+
 class TestMakeSplit:
     def test_unseen_target_posts_go_to_test_only(self):
         records = [rec("p1", ["muslim"]), rec("p2", ["male"]),

@@ -8,7 +8,7 @@ import pytest
 from fairfilter import autodiff as ad
 from fairfilter import data, metrics, trainer
 from fairfilter.data import CorpusSplit, PostRecord
-from fairfilter.embeddings import WordVectorStore
+from fairfilter.embeddings import WordVectorStore, tokenize_target
 from fairfilter.errors import CheckpointError, ConfigError, DataError, DivergenceError
 from fairfilter.trainer import Model, TrainConfig
 
@@ -49,6 +49,11 @@ def tiny_model(config=None, targets=("a", "b"), d_in=4):
     ind = tiny_indicators(targets)
     return Model(config, d_in=d_in, indicator_dim=3,
                  seen_targets=list(targets), indicators=ind)
+
+
+def seen_table(model):
+    """The model's stored indicators by seen-target name."""
+    return dict(zip(model.seen_targets, model.seen_indicators))
 
 
 def seen_rows(model, records):
@@ -206,7 +211,7 @@ class TestModel:
     def test_predict_is_order_equivariant(self):
         model = tiny_model()
         records = tiny_records(15)
-        ind = model.indicators
+        ind = seen_table(model)
         fwd = model.predict(records, ind)
         rev = model.predict(records[::-1], ind)
         np.testing.assert_array_equal(fwd, rev[::-1])
@@ -244,7 +249,7 @@ class TestModel:
 
         monkeypatch.setattr(trainer.hf, "target_theta", counting)
         model = tiny_model(tiny_config(batch_size=7))
-        model.predict(tiny_records(40), model.indicators)
+        model.predict(tiny_records(40), seen_table(model))
         assert len(calls) == 1
 
     def test_predict_records_no_tape(self, monkeypatch):
@@ -257,7 +262,7 @@ class TestModel:
 
         monkeypatch.setattr(trainer.ClassifierHead, "forward", recording)
         model = tiny_model(tiny_config(batch_size=7))
-        model.predict(tiny_records(20), model.indicators)
+        model.predict(tiny_records(20), seen_table(model))
         assert len(seen) == 3
         assert all(not x.requires_grad and x._parents == () for x in seen)
 
@@ -272,7 +277,7 @@ class TestModel:
         for k, t in model.hyper.group.tensors.items():
             t.grad = pending[k] = np.full(t.data.shape, 0.5)
         before = flags()
-        model.predict(tiny_records(10), model.indicators)
+        model.predict(tiny_records(10), seen_table(model))
         assert flags() == before
         assert before["dis"][0] and not before["hyper"][0]
         for k, t in model.hyper.group.tensors.items():
@@ -283,7 +288,7 @@ class TestModel:
         records = tiny_records(5) + [PostRecord(id="x", targets=("a", "ghost"),
                                                 label=0, embedding=np.zeros(4))]
         with pytest.raises(ConfigError, match="ghost"):
-            model.predict(records, model.indicators)
+            model.predict(records, seen_table(model))
 
     def test_frozen_forward_builds_no_graph(self):
         model = tiny_model()
@@ -487,8 +492,8 @@ class TestCheckpoint:
         trainer.checkpoint_save(state.model, path)
         loaded = trainer.checkpoint_load(path)
         records = tiny_records(12, seed=9)
-        a = state.model.predict(records, state.model.indicators)
-        b = loaded.predict(records, loaded.indicators)
+        a = state.model.predict(records, seen_table(state.model))
+        b = loaded.predict(records, seen_table(loaded))
         assert a.tobytes() == b.tobytes()
 
     def test_unreadable_archive_leaves_no_file_open(self, tmp_path):
@@ -586,3 +591,52 @@ class TestEvalIndicators:
         assert [r.id for r in usable] == ["v"]
         assert any("all zeros" in w for w in warnings)
         assert "women" not in indicators
+
+
+class TestResolveIndicators:
+    def store(self, width=3):
+        return WordVectorStore(vectors={"black": np.arange(1.0, width + 1),
+                                        "women": np.full(width, 2.0),
+                                        "a": np.full(width, 9.0)}, dim=width)
+
+    def test_keeps_caller_order(self):
+        resolved, messages = trainer.resolve_indicators(
+            ["women", "a", "black_women", "black"], self.store(), tiny_model())
+        assert list(resolved) == ["women", "a", "black_women", "black"]
+        assert messages == {}
+
+    def test_seen_name_keeps_stored_vector(self):
+        model = tiny_model()
+        resolved, messages = trainer.resolve_indicators(["b", "a"], self.store(), model)
+        for name in ("a", "b"):
+            assert resolved[name].vector.tobytes() == seen_table(model)[name].tobytes()
+            assert resolved[name].tokens == tokenize_target(name)
+            assert resolved[name].skipped == []
+        assert messages == {}
+
+    def test_unseen_name_built_from_store(self):
+        resolved, messages = trainer.resolve_indicators(
+            ["black_women", "black_men"], self.store(), tiny_model())
+        np.testing.assert_array_equal(resolved["black_women"].vector, [1.5, 2.0, 2.5])
+        np.testing.assert_array_equal(resolved["black_men"].vector, [1.0, 2.0, 3.0])
+        assert resolved["black_men"].tokens == ["black"]
+        assert resolved["black_men"].skipped == ["men"]
+        assert messages == {"black_men": "target 'black_men': skipped OOV tokens ['men']"}
+
+    def test_without_model_every_name_is_built(self):
+        resolved, _ = trainer.resolve_indicators(["a"], self.store())
+        np.testing.assert_array_equal(resolved["a"].vector, [9.0, 9.0, 9.0])
+
+    def test_failure_gives_build_indicator_message(self):
+        store = self.store()
+        resolved, messages = trainer.resolve_indicators(
+            ["martian", "women"], store, tiny_model())
+        assert list(resolved) == ["women"]
+        with pytest.raises(DataError) as built:
+            trainer.build_indicator("martian", store)
+        assert messages == {"martian": str(built.value)}
+
+    def test_vectors_of_another_width_rejected(self):
+        with pytest.raises(DataError, match="word vectors have 2 entries, "
+                                            "the checkpoint's indicators 3"):
+            trainer.resolve_indicators(["women"], self.store(width=2), tiny_model())
