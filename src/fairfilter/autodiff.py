@@ -2,10 +2,17 @@
 
 The tape covers exactly the operations the rest of the package needs
 (matmul, einsum, broadcasting arithmetic, ReLU/sigmoid/softplus/sqrt,
-reductions, basic indexing, reshape). Graphs are rebuilt every step, so
-freeze state is captured at construction time of each node. A node that no
-gradient can reach keeps no parents and no backward closure: a forward with
-every group frozen, or any forward inside `no_grad()`, builds no graph.
+reductions, basic indexing, reshape) plus `dense`, one node per affine
+layer (x W + b, optionally ReLU'd), which `mlp_forward` runs for every
+layer. An embedding of low rank can travel as a factored pair (rows, basis)
+that stands for rows·basis; `dense` folds a basis with fewer rows than
+columns into its weight, so the product is never formed.
+
+Graphs are rebuilt every step, so freeze state is captured at construction
+time of each node. A node that no gradient can reach keeps no parents and no
+backward closure: a forward with every group frozen, or any forward inside
+`no_grad()`, builds no graph. `adam_step` updates its moments in place and
+gives each parameter a fresh array.
 """
 
 from __future__ import annotations
@@ -154,6 +161,67 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _acc(b, a.data.T @ g)
 
     return Tensor(a.data @ b.data, _parents=(a, b), _backward=bwd)
+
+
+def shape_of(x: Tensor | tuple[Tensor, Tensor]) -> tuple[int, ...]:
+    """The shape of what x stands for: a tensor's own, or rows·basis's for a
+    factored (rows, basis) pair."""
+    if isinstance(x, tuple):
+        rows, basis = x
+        return rows.data.shape[:-1] + basis.data.shape[1:]
+    return x.data.shape
+
+
+def dense(x: Tensor | tuple[Tensor, Tensor], w: Tensor, b: Tensor,
+          relu: bool = False) -> Tensor:
+    """One affine layer x W + b, with an optional ReLU, as a single node.
+
+    x is an (n, k) tensor or a factored pair (rows, basis) that stands for
+    rows·basis. A basis with fewer rows than columns is folded into the
+    weight, rows·(basis·W), so the (n, k) product is never formed; any other
+    basis is multiplied out first. The choice depends on shapes alone.
+    """
+    rows, basis = x if isinstance(x, tuple) else (x, None)
+    factors = [rows.shape] + ([] if basis is None else [basis.shape]) + [w.shape]
+    if any(len(f) != 2 for f in factors) or b.shape != w.shape[1:] or any(
+            a[1] != c[0] for a, c in zip(factors, factors[1:])):
+        raise DimensionError(f"dense shape mismatch: {' @ '.join(map(str, factors))} "
+                             f"+ {b.shape}")
+    fold = basis is not None and basis.data.shape[0] < basis.data.shape[1]
+    lhs = rows.data if basis is None or fold else rows.data @ basis.data
+    w_eff = basis.data @ w.data if fold else w.data
+    out = lhs @ w_eff + b.data
+    if relu:
+        out = np.maximum(out, 0.0)
+
+    def bwd(g, rows=rows, basis=basis, w=w, b=b, out=out):
+        if relu:
+            g = g * (out > 0)
+        _acc(b, g)
+        if fold:  # out = rows (basis W)
+            if rows.requires_grad:
+                _acc(rows, g @ w_eff.T)
+            if basis.requires_grad or w.requires_grad:
+                g_w = rows.data.T @ g
+                if basis.requires_grad:
+                    _acc(basis, g_w @ w.data.T)
+                if w.requires_grad:
+                    _acc(w, basis.data.T @ g_w)
+            return
+        if w.requires_grad:  # out = lhs W, with lhs = x or rows basis
+            _acc(w, lhs.T @ g)
+        if basis is None:
+            if rows.requires_grad:
+                _acc(rows, g @ w.data.T)
+        elif rows.requires_grad or basis.requires_grad:
+            g_lhs = g @ w.data.T
+            if rows.requires_grad:
+                _acc(rows, g_lhs @ basis.data.T)
+            if basis.requires_grad:
+                _acc(basis, rows.data.T @ g_lhs)
+
+    parents = (rows, w, b) if basis is None else (rows, basis, w, b)
+    return Tensor(out, _parents=parents, _backward=bwd)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -370,7 +438,12 @@ class AdamState:
 
 
 def adam_step(group: ParamGroup, state: AdamState) -> None:
-    """Standard Adam update on every tensor in the group; clears grads."""
+    """Standard Adam update on every tensor in the group; clears grads.
+
+    The moments are updated in place, with the same operations in the same
+    order as the textbook formula, so the result is bitwise the same; each
+    parameter gets a fresh array, so no caller's view of one ever changes.
+    """
     if group.frozen:
         warnings.warn(f"adam_step on frozen group '{group.name}' is a no-op")
         return
@@ -383,11 +456,23 @@ def adam_step(group: ParamGroup, state: AdamState) -> None:
         if key not in state.m:
             state.m[key] = np.zeros_like(t.data)
             state.v[key] = np.zeros_like(t.data)
-        state.m[key] = b1 * state.m[key] + (1.0 - b1) * g
-        state.v[key] = b2 * state.v[key] + (1.0 - b2) * g * g
-        m_hat = state.m[key] / bc1
-        v_hat = state.v[key] / bc2
-        t.data = t.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m, v = state.m[key], state.v[key]
+        # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+        step = np.multiply(1.0 - b1, g)
+        np.multiply(b1, m, out=m)
+        np.add(m, step, out=m)
+        np.multiply(1.0 - b2, g, out=step)
+        np.multiply(step, g, out=step)
+        np.multiply(b2, v, out=v)
+        np.add(v, step, out=v)
+        # step = lr (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(m, bc1, out=step)
+        np.multiply(state.lr, step, out=step)
+        denom = np.divide(v, bc2)
+        np.sqrt(denom, out=denom)
+        np.add(denom, state.eps, out=denom)
+        np.divide(step, denom, out=step)
+        t.data = t.data - step
         t.grad = None
 
 
@@ -410,23 +495,22 @@ def init_mlp(name: str, dims: list[int], rng: np.random.Generator) -> ParamGroup
     return group
 
 
-def mlp_forward(x: Tensor, layers: ParamGroup) -> Tensor:
-    """Apply an MLP stored as W0/b0..W{L-1}/b{L-1}, with ReLU between layers
-    and an affine readout; x is (n, d_in)."""
+def mlp_forward(x: Tensor | tuple[Tensor, Tensor], layers: ParamGroup) -> Tensor:
+    """Apply an MLP stored as W0/b0..W{L-1}/b{L-1}, one `dense` node per layer,
+    with ReLU between layers and an affine readout; x is an (n, d_in) tensor
+    or a (rows, basis) pair that stands for one (see `dense`)."""
     n_layers = sum(1 for k in layers.tensors if k.startswith("W"))
     if n_layers == 0:
         raise DimensionError(f"group '{layers.name}' holds no layers")
-    if x.data.ndim != 2:
+    if len(shape_of(x)) != 2:
         raise DimensionError(f"mlp_forward: '{layers.name}' expects (n, d_in) input, "
-                             f"got shape {x.shape}")
+                             f"got shape {shape_of(x)}")
     h = x
     for i in range(n_layers):
         w, b = layers.tensors[f"W{i}"], layers.tensors[f"b{i}"]
-        if h.data.shape[1] != w.data.shape[0]:
+        if shape_of(h)[1] != w.data.shape[0]:
             raise DimensionError(
                 f"mlp_forward: layer {i} of '{layers.name}' expects input dim "
-                f"{w.data.shape[0]}, got {h.data.shape[1]}")
-        h = matmul(h, w) + b
-        if i < n_layers - 1:
-            h = relu(h)
+                f"{w.data.shape[0]}, got {shape_of(h)[1]}")
+        h = dense(h, w, b, relu=i < n_layers - 1)
     return h

@@ -2,6 +2,13 @@
 hate-speech classifier. Both are 3-affine-layer MLPs that return logits; the
 losses take logits directly (binary cross-entropy with logits), and
 `ad.sigmoid` turns a logit into a probability where one is needed.
+
+A head reads an (n, d) embedding either as a tensor or as the factored pair
+(rows, basis) that the adapter and the filter return. On a pair, its first
+layer computes rows·(basis·W0) + b0 when the basis has fewer rows than
+columns, and multiplies the rows out first otherwise (`ad.dense`); the
+filtered embeddings' basis has T*K rows, the unfiltered ones' d_in at the
+default adapter depth.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ class DiscriminatorHead:
             raise DimensionError("discriminator needs at least one target")
         self.group = ad.init_mlp("dis", [d, hidden, hidden, n_targets], rng)
 
-    def forward(self, s: Tensor) -> Tensor:
+    def forward(self, s: Tensor | tuple[Tensor, Tensor]) -> Tensor:
         return ad.mlp_forward(s, self.group)
 
 
@@ -39,7 +46,7 @@ class ClassifierHead:
     def __init__(self, d: int, rng, hidden: int = 256):
         self.group = ad.init_mlp("hate", [d, hidden, hidden, 1], rng)
 
-    def forward(self, s: Tensor) -> Tensor:
+    def forward(self, s: Tensor | tuple[Tensor, Tensor]) -> Tensor:
         return ad.mlp_forward(s, self.group)
 
 

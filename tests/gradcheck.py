@@ -53,26 +53,37 @@ def draw_is_smooth(model: Model, records) -> bool:
     loss so far that some coordinates' slopes fall to the float64 rounding
     floor of a central difference: without the logit guard, a saturated draw
     fails at hyper.L0.W1[79] with rel err 1.7e-4 on an FD slope of 6.6e-7.
-    The inputs of `ad.softplus` are exactly the three head outputs.
+    The inputs of `ad.softplus` are exactly the three head outputs. ReLUs run
+    both as `ad.relu` and inside `ad.dense` (every head layer but the last),
+    so both are probed.
     """
     min_kink = [np.inf]
     max_logit = [0.0]
-    orig_relu, orig_softplus = ad.relu, ad.softplus
+    orig_relu, orig_dense, orig_softplus = ad.relu, ad.dense, ad.softplus
+
+    def read_kinks(pre):
+        if pre.size:
+            min_kink[0] = min(min_kink[0], float(np.min(np.abs(pre))))
 
     def relu_probe(t):
-        if t.data.size:
-            min_kink[0] = min(min_kink[0], float(np.min(np.abs(t.data))))
+        read_kinks(t.data)
         return orig_relu(t)
+
+    def dense_probe(x, w, b, relu=False):
+        if relu:  # the pre-activation of a ReLU that runs inside the node
+            with ad.no_grad():
+                read_kinks(orig_dense(x, w, b).data)
+        return orig_dense(x, w, b, relu=relu)
 
     def softplus_probe(t):
         max_logit[0] = max(max_logit[0], float(np.max(np.abs(t.data))))
         return orig_softplus(t)
 
-    ad.relu, ad.softplus = relu_probe, softplus_probe
+    ad.relu, ad.dense, ad.softplus = relu_probe, dense_probe, softplus_probe
     try:
         synergic_losses(model, *tabulate(records, model.seen_targets))
     finally:
-        ad.relu, ad.softplus = orig_relu, orig_softplus
+        ad.relu, ad.dense, ad.softplus = orig_relu, orig_dense, orig_softplus
     return min_kink[0] > KINK_GUARD and max_logit[0] < LOGIT_GUARD
 
 

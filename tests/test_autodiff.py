@@ -69,6 +69,67 @@ class TestMlpForward:
             ad.mlp_forward(ad.constant(np.zeros(3)), group)
 
 
+class TestDense:
+    """`dense` against finite differences, on a plain input and on a factored
+    (rows, basis) pair whose basis folds (2 < 4 rows) or is multiplied out."""
+
+    @staticmethod
+    def arrays(basis_rows, seed=0):
+        rng = np.random.default_rng(seed)
+        if basis_rows is None:
+            inputs = {"x": rng.normal(size=(5, 4))}
+        else:
+            inputs = {"rows": rng.normal(size=(5, basis_rows)),
+                      "basis": rng.normal(size=(basis_rows, 4))}
+        return {**inputs, "w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)}, \
+            rng.normal(size=(5, 3))
+
+    @staticmethod
+    def layer(t, relu):
+        x = t["x"] if "x" in t else (t["rows"], t["basis"])
+        return ad.dense(x, t["w"], t["b"], relu=relu)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("basis_rows", [None, 2, 4])
+    @pytest.mark.parametrize("fixed", [(), ("w",), ("x", "rows")],
+                             ids=["all-trainable", "frozen-weight", "constant-input"])
+    def test_matches_finite_differences(self, relu, basis_rows, fixed):
+        arrays, upstream = self.arrays(basis_rows)
+        dense_x = arrays["x"] if basis_rows is None else arrays["rows"] @ arrays["basis"]
+        pre = dense_x @ arrays["w"] + arrays["b"]
+        assert np.min(np.abs(pre)) > 1e-3  # central differences stay off the kink
+        tensors = {k: Tensor(v.copy(), requires_grad=k not in fixed)
+                   for k, v in arrays.items()}
+        out = self.layer(tensors, relu)
+        np.testing.assert_allclose(out.data, np.maximum(pre, 0.0) if relu else pre,
+                                   rtol=0, atol=1e-12)
+        ad.backward(ad.tsum(out * ad.constant(upstream)))
+        for key, t in tensors.items():
+            if key in fixed:
+                assert t.grad is None
+                continue
+
+            def loss(a, key=key):
+                consts = {k: ad.constant(a if k == key else v) for k, v in arrays.items()}
+                return float(np.sum(self.layer(consts, relu).data * upstream))
+
+            np.testing.assert_allclose(t.grad, fd_scalar(loss, arrays[key].copy()),
+                                       rtol=1e-6, atol=1e-8)
+
+    def test_one_node_per_layer(self):
+        arrays, _ = self.arrays(2)
+        tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        out = self.layer(tensors, relu=True)
+        assert out._parents == tuple(tensors[k] for k in ("rows", "basis", "w", "b"))
+
+    def test_pair_shape_mismatch_rejected(self):
+        w, b = ad.constant(np.zeros((4, 3))), ad.constant(np.zeros(3))
+        with pytest.raises(DimensionError):
+            ad.dense((ad.constant(np.zeros((5, 2))), ad.constant(np.zeros((3, 4)))), w, b)
+        with pytest.raises(DimensionError):
+            ad.dense((ad.constant(np.zeros((5, 2))), ad.constant(np.zeros((2, 5)))), w, b)
+
+
 class TestBackward:
     def test_linear_case_gradient_is_input_outer_product(self):
         rng = np.random.default_rng(0)
@@ -278,6 +339,38 @@ class TestAdam:
         np.testing.assert_allclose(w.data, expected, atol=1e-12)
         assert state.step == 1
         assert w.grad is None
+
+    def test_matches_textbook_formula_bitwise_over_steps(self):
+        rng = np.random.default_rng(8)
+        group = ParamGroup("g")
+        group.add("W", rng.normal(size=(6, 5)))
+        group.add("b", rng.normal(size=5))
+        state = AdamState(lr=3e-3)
+        params = {k: t.data.copy() for k, t in group.tensors.items()}
+        m = {k: np.zeros_like(p) for k, p in params.items()}
+        v = {k: np.zeros_like(p) for k, p in params.items()}
+        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+        for step in range(1, 7):
+            grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+            if step == 4:  # a tensor with no gradient steps on zeros
+                grads["b"] = np.zeros(5)
+            for k, t in group.tensors.items():
+                t.grad = None if step == 4 and k == "b" else grads[k].copy()
+            held = {k: t.data for k, t in group.tensors.items()}
+            snapshots = {k: a.copy() for k, a in held.items()}
+            ad.adam_step(group, state)
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v[k] = b2 * v[k] + (1.0 - b2) * g * g
+                m_hat = m[k] / (1.0 - b1 ** step)
+                v_hat = v[k] / (1.0 - b2 ** step)
+                params[k] = params[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+                assert group.tensors[k].data.tobytes() == params[k].tobytes()
+                assert state.m[k].tobytes() == m[k].tobytes()
+                assert state.v[k].tobytes() == v[k].tobytes()
+                # the update is a fresh array: what a caller held is unchanged
+                assert held[k].tobytes() == snapshots[k].tobytes()
+                assert group.tensors[k].data is not held[k]
 
     def test_step_on_frozen_group_warns_and_is_noop(self):
         group = ParamGroup("g")

@@ -151,6 +151,12 @@ class TestEnsembleParams:
             tabulate([post("t0", "ghost")], ["t0", "t1"])
 
 
+def multiplied(pair):
+    """The dense (n, d) embeddings a (rows, basis) pair stands for."""
+    rows, basis = pair
+    return rows.data @ basis.data
+
+
 def dense_as_factors(*thetas):
     """Factors with P = I and V = theta, so U W V is exactly theta (K = d)."""
     d = thetas[0].shape[0]
@@ -164,18 +170,19 @@ class TestApplyFilter:
         d = 4
         theta = np.hstack([np.eye(d), np.zeros((d, 1))])
         x = np.random.default_rng(0).normal(size=(3, d))
-        out = hf.apply_filter(ad.constant(x), dense_as_factors(theta), np.ones((3, 1)))
-        np.testing.assert_array_equal(out.data, x)
+        out = multiplied(hf.apply_filter(ad.constant(x), dense_as_factors(theta),
+                                         np.ones((3, 1))))
+        np.testing.assert_array_equal(out, x)
 
     def test_single_layer_matches_manual_affine(self):
         rng = np.random.default_rng(3)
         d = 5
         theta_np = rng.normal(size=(d, d + 1))
         x = rng.normal(size=(4, d))
-        out = hf.apply_filter(ad.constant(x), dense_as_factors(theta_np),
-                              np.ones((4, 1)))
+        out = multiplied(hf.apply_filter(ad.constant(x), dense_as_factors(theta_np),
+                                         np.ones((4, 1))))
         expected = x @ theta_np[:, :d].T + theta_np[:, d]
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_two_layers_relu_in_between(self):
         rng = np.random.default_rng(4)
@@ -183,11 +190,11 @@ class TestApplyFilter:
         t0 = rng.normal(size=(d, d + 1))
         t1 = rng.normal(size=(d, d + 1))
         x = rng.normal(size=(2, d))
-        out = hf.apply_filter(ad.constant(x), dense_as_factors(t0, t1),
-                              np.ones((2, 1)))
+        out = multiplied(hf.apply_filter(ad.constant(x), dense_as_factors(t0, t1),
+                                         np.ones((2, 1))))
         h = np.maximum(x @ t0[:, :d].T + t0[:, d], 0.0)
         expected = h @ t1[:, :d].T + t1[:, d]
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         factors = dense_as_factors(np.zeros((4, 5)))
@@ -232,8 +239,8 @@ class TestFactoredForm:
             sets.append(set(rng.choice(names, size=k, replace=False).tolist()))
         x = rng.normal(size=(len(sets), d))
         factors, mix = ensemble(hyper, ind, sets)
-        out = hf.apply_filter(ad.constant(x), factors, mix)
-        np.testing.assert_allclose(out.data, dense_oracle(hyper, ind, sets, x),
+        out = multiplied(hf.apply_filter(ad.constant(x), factors, mix))
+        np.testing.assert_allclose(out, dense_oracle(hyper, ind, sets, x),
                                    rtol=0, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -255,7 +262,7 @@ class TestGradientFlow:
         rng = np.random.default_rng(9)
         ind = {f"t{i}": rng.normal(size=3) for i in range(2)}
         factors, mix = ensemble(hyper, ind, [{"t0", "t1"}, {"t0"}, {"t1"}])
-        out = hf.apply_filter(ad.constant(rng.normal(size=(3, 4))), factors, mix)
+        out = ad.matmul(*hf.apply_filter(ad.constant(rng.normal(size=(3, 4))), factors, mix))
         ad.backward(ad.tsum(out * out))
         grads = hyper.group.grads
         assert all(g is not None for g in grads.values())

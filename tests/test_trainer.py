@@ -69,6 +69,12 @@ def taped_filter_batch(model, records):
         model.hyper, model.seen_indicators, targets))
 
 
+def multiplied(pair):
+    """The dense (n, d) embeddings a (rows, basis) pair of tensors stands for."""
+    rows, basis = pair
+    return rows.data @ basis.data
+
+
 def assert_names_the_batch(error, records):
     """The DivergenceError's JSON carries the size, label mean and embedding
     abs-max of exactly `records`, the whole batch."""
@@ -147,20 +153,19 @@ class TestModel:
     def test_filter_batch_keeps_input_order(self):
         model = tiny_model()
         records = tiny_records(10)
-        s, s_tilde = taped_filter_batch(model, records)
-        assert s.data.shape == s_tilde.data.shape == (10, 8)
+        s, s_tilde = map(multiplied, taped_filter_batch(model, records))
+        assert s.shape == s_tilde.shape == (10, 8)
         for i, record in enumerate(records):
-            s_one, s_tilde_one = taped_filter_batch(model, [record])
-            np.testing.assert_allclose(s.data[i], s_one.data[0], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(s_tilde.data[i], s_tilde_one.data[0],
-                                       rtol=0, atol=1e-12)
+            s_one, s_tilde_one = map(multiplied, taped_filter_batch(model, [record]))
+            np.testing.assert_allclose(s[i], s_one[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(s_tilde[i], s_tilde_one[0], rtol=0, atol=1e-12)
 
     def test_filter_batch_builds_no_dense_filter(self):
         d = 64
         model = tiny_model(tiny_config(hidden_dim=d, depth=2, rank=2),
                            targets=("a", "b", "c"))
         _, s_tilde = taped_filter_batch(model, tiny_records(12, targets=("a", "b", "c")))
-        seen, stack, shapes = set(), [s_tilde], []
+        seen, stack, shapes = set(), list(s_tilde), []
         while stack:
             node = stack.pop()
             if id(node) in seen:
@@ -178,14 +183,14 @@ class TestModel:
         records = [PostRecord(id=f"r{i}", targets=("a",), label=0,
                               embedding=emb.copy()) for i in range(3)]
         _, s_tilde = taped_filter_batch(model, records)
-        assert len({row.tobytes() for row in s_tilde.data}) == 1
+        assert len({row.tobytes() for row in multiplied(s_tilde)}) == 1
 
     @pytest.mark.parametrize("batch_size", [7, 128])
     def test_embed_matches_taped_filter_batch_without_tape(self, batch_size, monkeypatch):
         model = tiny_model(tiny_config(batch_size=batch_size), targets=("a", "b", "c"))
         records = tiny_records(40, targets=("a", "b", "c"))
         s, s_tilde = taped_filter_batch(model, records)
-        assert s_tilde.requires_grad and s_tilde._parents
+        assert all(t.requires_grad and t._parents for t in s_tilde)
         built = []
         filter_batch = Model.filter_batch
 
@@ -196,17 +201,21 @@ class TestModel:
         monkeypatch.setattr(Model, "filter_batch", recording)
         x, _, targets = seen_rows(model, records)
         chunks = list(model.embed(x, targets, model.seen_indicators))
-        assert [len(c) for c, _ in chunks] == [min(batch_size, 40 - start)
-                                               for start in range(0, 40, batch_size)]
+        assert [len(rows) for (rows, _), _ in chunks] == [
+            min(batch_size, 40 - start) for start in range(0, 40, batch_size)]
         assert len(built) == len(chunks)
-        for pair in chunks:
-            assert all(isinstance(rows, np.ndarray) for rows in pair)
-        for node in (x for pair in built for x in pair):
-            assert not node.requires_grad and node._parents == ()
-        np.testing.assert_allclose(np.concatenate([c for c, _ in chunks]), s.data,
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(np.concatenate([c for _, c in chunks]), s_tilde.data,
-                                   rtol=0, atol=1e-12)
+        for pair in (pair for chunk in chunks for pair in chunk):
+            assert all(isinstance(a, np.ndarray) for a in pair)
+        # no tape: a basis may be a parameter leaf itself (the adapter weight),
+        # every other tensor is a constant
+        params = {id(t) for g in model.groups.values() for t in g.tensors.values()}
+        for node in (t for chunk in built for pair in chunk for t in pair):
+            assert node._parents == () and (id(node) in params or not node.requires_grad)
+        # one product per pair gives the dense embeddings
+        np.testing.assert_allclose(np.concatenate([r @ b for (r, b), _ in chunks]),
+                                   multiplied(s), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.concatenate([r @ b for _, (r, b) in chunks]),
+                                   multiplied(s_tilde), rtol=0, atol=1e-12)
 
     def test_predict_is_order_equivariant(self):
         model = tiny_model()
@@ -264,7 +273,7 @@ class TestModel:
         model = tiny_model(tiny_config(batch_size=7))
         model.predict(tiny_records(20), seen_table(model))
         assert len(seen) == 3
-        assert all(not x.requires_grad and x._parents == () for x in seen)
+        assert all(not t.requires_grad and t._parents == () for pair in seen for t in pair)
 
     def test_predict_leaves_freeze_state_and_pending_grads(self):
         def flags():
@@ -438,6 +447,10 @@ class TestFit:
                                          embedding=np.zeros(4))
         with pytest.raises(ConfigError, match="ghost"):
             trainer.fit(tiny_config(), split, tiny_indicators())
+
+    def test_empty_indicator_table_rejected(self):
+        with pytest.raises(ConfigError, match="indicator table is empty; training targets a, b "):
+            trainer.fit(tiny_config(), tiny_split(), {})
 
     def test_record_without_embedding_rejected_before_training(self, monkeypatch):
         split = tiny_split()
