@@ -5,8 +5,9 @@ The tape covers exactly the operations the rest of the package needs
 reductions, basic indexing, reshape) plus `dense`, one node per affine
 layer (x W + b, optionally ReLU'd), which `mlp_forward` runs for every
 layer. An embedding of low rank can travel as a factored pair (rows, basis)
-that stands for rows·basis; `dense` folds a basis with fewer rows than
-columns into its weight, so the product is never formed.
+that stands for rows·basis: `factored` keeps the pair when the basis has
+fewer rows than columns and multiplies it out otherwise, and `dense` folds
+a pair's basis into its weight, so the product is never formed.
 
 Graphs are rebuilt every step, so freeze state is captured at construction
 time of each node. A node that no gradient can reach keeps no parents and no
@@ -163,6 +164,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data @ b.data, _parents=(a, b), _backward=bwd)
 
 
+def factored(rows: Tensor, basis: Tensor) -> Tensor | tuple[Tensor, Tensor]:
+    """rows·basis as a layer input: the pair (rows, basis) when the basis has
+    fewer rows than columns, which `dense` folds into its weight, and
+    otherwise the product, formed once here. Shapes alone decide."""
+    if basis.data.shape[0] < basis.data.shape[1]:
+        return rows, basis
+    return matmul(rows, basis)
+
+
+def unfactored(x: Tensor | tuple[Tensor, Tensor]) -> Tensor:
+    """The tensor x stands for: x itself, or rows·basis for a pair."""
+    return matmul(*x) if isinstance(x, tuple) else x
+
+
 def shape_of(x: Tensor | tuple[Tensor, Tensor]) -> tuple[int, ...]:
     """The shape of what x stands for: a tensor's own, or rows·basis's for a
     factored (rows, basis) pair."""
@@ -177,9 +192,8 @@ def dense(x: Tensor | tuple[Tensor, Tensor], w: Tensor, b: Tensor,
     """One affine layer x W + b, with an optional ReLU, as a single node.
 
     x is an (n, k) tensor or a factored pair (rows, basis) that stands for
-    rows·basis. A basis with fewer rows than columns is folded into the
-    weight, rows·(basis·W), so the (n, k) product is never formed; any other
-    basis is multiplied out first. The choice depends on shapes alone.
+    rows·basis (`factored`); a pair's basis is folded into the weight,
+    rows·(basis·W), so the (n, k) product is never formed.
     """
     rows, basis = x if isinstance(x, tuple) else (x, None)
     factors = [rows.shape] + ([] if basis is None else [basis.shape]) + [w.shape]
@@ -187,10 +201,8 @@ def dense(x: Tensor | tuple[Tensor, Tensor], w: Tensor, b: Tensor,
             a[1] != c[0] for a, c in zip(factors, factors[1:])):
         raise DimensionError(f"dense shape mismatch: {' @ '.join(map(str, factors))} "
                              f"+ {b.shape}")
-    fold = basis is not None and basis.data.shape[0] < basis.data.shape[1]
-    lhs = rows.data if basis is None or fold else rows.data @ basis.data
-    w_eff = basis.data @ w.data if fold else w.data
-    out = lhs @ w_eff + b.data
+    w_eff = w.data if basis is None else basis.data @ w.data
+    out = rows.data @ w_eff + b.data
     if relu:
         out = np.maximum(out, 0.0)
 
@@ -198,27 +210,17 @@ def dense(x: Tensor | tuple[Tensor, Tensor], w: Tensor, b: Tensor,
         if relu:
             g = g * (out > 0)
         _acc(b, g)
-        if fold:  # out = rows (basis W)
-            if rows.requires_grad:
-                _acc(rows, g @ w_eff.T)
-            if basis.requires_grad or w.requires_grad:
-                g_w = rows.data.T @ g
-                if basis.requires_grad:
-                    _acc(basis, g_w @ w.data.T)
-                if w.requires_grad:
-                    _acc(w, basis.data.T @ g_w)
-            return
-        if w.requires_grad:  # out = lhs W, with lhs = x or rows basis
-            _acc(w, lhs.T @ g)
+        if rows.requires_grad:
+            _acc(rows, g @ w_eff.T)
         if basis is None:
-            if rows.requires_grad:
-                _acc(rows, g @ w.data.T)
-        elif rows.requires_grad or basis.requires_grad:
-            g_lhs = g @ w.data.T
-            if rows.requires_grad:
-                _acc(rows, g_lhs @ basis.data.T)
+            if w.requires_grad:
+                _acc(w, rows.data.T @ g)
+        elif basis.requires_grad or w.requires_grad:  # out = rows (basis W)
+            g_w = rows.data.T @ g
             if basis.requires_grad:
-                _acc(basis, rows.data.T @ g_lhs)
+                _acc(basis, g_w @ w.data.T)
+            if w.requires_grad:
+                _acc(w, basis.data.T @ g_w)
 
     parents = (rows, w, b) if basis is None else (rows, basis, w, b)
     return Tensor(out, _parents=parents, _backward=bwd)

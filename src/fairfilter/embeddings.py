@@ -5,9 +5,11 @@ hypernetwork's conditioning input and require no training, which is what
 makes zero-shot filters for unseen targets possible (`build_indicator`, which
 only `trainer.resolve_indicators` calls). `encode_posts` reads embedding
 rows, as `stack_embeddings` builds them from records, and returns the
-encoding factored, as (last layer's input, last weight): at the default
-depth 1 that is (x, W0), so a head's first layer can fold W0 into its own
-weight instead of forming the (n, d) encoding (`autodiff.dense`).
+encoding through `autodiff.factored` over (last layer's input, last weight):
+at the default depth 1 with d_in < d that is the pair (x, W0), so a head's
+first layer folds W0 into its own weight instead of forming the (n, d)
+encoding (`autodiff.dense`); a square or tall last weight, as at any depth
+> 1, is multiplied out once.
 """
 
 from __future__ import annotations
@@ -122,17 +124,17 @@ class EncoderAdapter:
             else:
                 self.group.add(f"W{i}", ad.glorot_init((a, b), rng))
 
-    def encode(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        """x is (n, d_in); returns the (n, d_out) encoding as a factored pair
-        (rows, basis), the last layer's input and its weight, whose product
-        is the encoding. Gradients flow into the group."""
+    def encode(self, x: Tensor) -> Tensor | tuple[Tensor, Tensor]:
+        """x is (n, d_in); returns the (n, d_out) encoding as
+        `ad.factored(last layer's input, last weight)`. Gradients flow into
+        the group."""
         if x.data.shape[1] != self.d_in:
             raise DataError(
                 f"adapter expects embeddings of dim {self.d_in}, got {x.data.shape[1]}")
         h = x
         for i in range(self.depth - 1):
             h = ad.relu(ad.matmul(h, self.group.tensors[f"W{i}"]))
-        return h, self.group.tensors[f"W{self.depth - 1}"]
+        return ad.factored(h, self.group.tensors[f"W{self.depth - 1}"])
 
 
 def stack_embeddings(records) -> np.ndarray:
@@ -143,6 +145,6 @@ def stack_embeddings(records) -> np.ndarray:
     return np.stack([r.embedding for r in records])
 
 
-def encode_posts(x: np.ndarray, adapter: EncoderAdapter) -> tuple[Tensor, Tensor]:
-    """Run embedding rows x (n, d_in) through the adapter; a (rows, basis) pair."""
+def encode_posts(x: np.ndarray, adapter: EncoderAdapter) -> Tensor | tuple[Tensor, Tensor]:
+    """Run embedding rows x (n, d_in) through the adapter (`EncoderAdapter.encode`)."""
     return adapter.encode(ad.constant(x))

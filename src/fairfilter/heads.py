@@ -4,11 +4,10 @@ losses take logits directly (binary cross-entropy with logits), and
 `ad.sigmoid` turns a logit into a probability where one is needed.
 
 A head reads an (n, d) embedding either as a tensor or as the factored pair
-(rows, basis) that the adapter and the filter return. On a pair, its first
-layer computes rows·(basis·W0) + b0 when the basis has fewer rows than
-columns, and multiplies the rows out first otherwise (`ad.dense`); the
-filtered embeddings' basis has T*K rows, the unfiltered ones' d_in at the
-default adapter depth.
+(rows, basis) that the adapter and the filter return when the basis has
+fewer rows than columns (`ad.factored`). On a pair, its first layer
+computes rows·(basis·W0) + b0 (`ad.dense`); the filtered embeddings' basis
+has T*K rows, the unfiltered ones' d_in at the default adapter depth.
 """
 
 from __future__ import annotations

@@ -19,10 +19,11 @@ this as two matrix products per layer over the T*K rank components of all
 targets side by side: z = h V' + b, with V' the (d, T*K) stack of the
 V_t[:, :d] and b that of the V_t[:, d]; then h = (z * M_rep) P', with P'
 the (T*K, d) stack of the P_t and M_rep = M with each column repeated K
-times. The last layer's product is left to the consumer: `apply_filter`
-returns the pair (z * M_rep, P'), of rank at most T*K, and when T*K < d a
-head's first layer folds P' into its weight (`autodiff.dense`), so no
-(n, d) filtered embedding is formed on the training or scoring paths. The
+times. The last layer's product is left to the consumer: when T*K < d,
+`apply_filter` returns the pair (z * M_rep, P'), of rank at most T*K, and a
+head's first layer folds P' into its weight (`autodiff.factored`,
+`autodiff.dense`), so no (n, d) filtered embedding is formed on the
+training or scoring paths; otherwise it returns the product. The
 generator runs once per layer over a (T, indicator_dim) stack of
 indicators; its row t, column t of M and row and column t of a Gram matrix
 are one target, in the caller's order, and no function here sees a name.
@@ -120,15 +121,15 @@ def ensemble_params(hyper: HyperFilter, indicators: np.ndarray, targets: np.ndar
 
 
 def apply_filter(s: Tensor, factors: list[LowRankFactors], mix: np.ndarray
-                 ) -> tuple[Tensor, Tensor]:
+                 ) -> Tensor | tuple[Tensor, Tensor]:
     """Filter post embeddings s (n, d) through the factored layers.
 
     Each target's layer is affine, P^T (V[:, :d] h + V[:, d]); a post's
     output is the M-weighted sum over targets, computed as two matrix
     products over all targets' stacked rank components (module docstring).
     ReLU between layers, identity at the end so the output lives in the
-    same space as s. The last layer is returned unmultiplied, as the pair
-    (z * M_rep, P'), whose product is the filtered (n, d) embeddings.
+    same space as s. The last layer's (n, d) output is returned as
+    `ad.factored(z * M_rep, P')`: the pair when T*K < d, else the product.
     """
     t, k, d = factors[0].p.shape
     if s.data.ndim != 2 or s.data.shape[1] != d:
@@ -143,9 +144,9 @@ def apply_filter(s: Tensor, factors: list[LowRankFactors], mix: np.ndarray
     for i, f in enumerate(factors):
         v_in = ad.reshape(ad.einsum("tkj->jtk", f.v[:, :, :d]), (d, t * k))
         z = ad.dense(h, v_in, ad.reshape(f.v[:, :, d], (t * k,)))
-        h = z * m_rep, ad.reshape(f.p, (t * k, d))
+        h = ad.factored(z * m_rep, ad.reshape(f.p, (t * k, d)))
         if i < len(factors) - 1:
-            h = ad.relu(ad.matmul(*h))
+            h = ad.relu(ad.unfactored(h))
     return h
 
 

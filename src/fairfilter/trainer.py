@@ -17,10 +17,11 @@ is the groups it trains plus its loss function (`discriminator_losses` or
 `Model.embed` is the one no-tape embedding path, over rows: `Model.predict`
 tabulates posts on their own sorted targets and reads it, and the
 discriminator phase, whose filters are frozen, reads it once per phase.
-Embeddings reach the heads as factored (rows, basis) pairs (`filter_batch`),
-so a head folds the basis into its first layer (`autodiff.dense`); the
-discriminator phase keeps the (n, T*K) coefficient rows of s_tilde and its
-one basis, not dense (n, d) rows.
+Embeddings reach the heads as factored (rows, basis) pairs where the basis
+has fewer rows than columns (`filter_batch`, `autodiff.factored`), so a
+head folds the basis into its first layer (`autodiff.dense`); the
+discriminator phase then keeps the (n, T*K) coefficient rows of s_tilde and
+its one basis, not dense (n, d) rows.
 `resolve_indicators` is the one lookup from target names to indicators, for
 training, scoring (through `eval_indicators`) and filter export alike.
 """
@@ -134,24 +135,25 @@ class Model:
                 "dis": self.discriminator.group, "hate": self.classifier.group}
 
     def filter_batch(self, x: np.ndarray, factors: list[hf.LowRankFactors],
-                     mix: np.ndarray) -> tuple[tuple[Tensor, Tensor], tuple[Tensor, Tensor]]:
+                     mix: np.ndarray) -> tuple[Tensor | tuple[Tensor, Tensor], ...]:
         """Encode embedding rows x, then filter each with its target-set
         ensemble: one row of `mix` per row of x over the targets of `factors`.
-        Returns (unfiltered s, filtered s_tilde), rows in x's order, each a
-        (rows, basis) pair whose product is the (n, d) embeddings."""
+        Returns (unfiltered s, filtered s_tilde), rows in x's order, each an
+        (n, d) tensor or a (rows, basis) pair standing for one
+        (`ad.factored`). The filter reads s multiplied out."""
         s = encode_posts(x, self.adapter)
-        return s, hf.apply_filter(ad.matmul(*s), factors, mix)
+        return s, hf.apply_filter(ad.unfactored(s), factors, mix)
 
     def embed(self, x: np.ndarray, targets: np.ndarray, indicators: np.ndarray):
         """Yield (s, s_tilde) in `batch_size` chunks of the rows x, with no
         tape; `targets` (n, T) is their membership over the rows of the
         (T, indicator_dim) `indicators` stack, whose filters are made once.
 
-        Each of s and s_tilde is a (rows, basis) pair of arrays, as
-        `filter_batch` returns them; rows @ basis, one product apiece, is the
-        dense (n, d) embedding. The bases are the same in every chunk: s's is
-        the adapter's last weight, s_tilde's the (T*K, d) stack of the last
-        filter layer's P.
+        Each of s and s_tilde comes as `filter_batch` returns it, as arrays:
+        a (rows, basis) pair, where rows @ basis, one product apiece, is the
+        dense (n, d) embedding, or that (n, d) array. A basis is the same in
+        every chunk: s's is the adapter's last weight, s_tilde's the
+        (T*K, d) stack of the last filter layer's P.
         """
         with ad.no_grad():
             factors, mix = hf.ensemble_params(self.hyper, indicators, targets)
@@ -159,7 +161,7 @@ class Model:
             rows = slice(start, start + self.config.batch_size)
             with ad.no_grad():
                 s, s_tilde = self.filter_batch(x[rows], factors, mix[rows])
-            yield tuple(t.data for t in s), tuple(t.data for t in s_tilde)
+            yield _arrays(s), _arrays(s_tilde)
 
     def predict(self, records: list[PostRecord],
                 indicators: dict[str, np.ndarray]) -> np.ndarray:
@@ -173,9 +175,20 @@ class Model:
         x, _, targets = tabulate(records, names)
         stack = np.stack([indicators[t] for t in names])
         with ad.no_grad():
-            scores = [ad.sigmoid(self.classifier.forward(tuple(map(ad.constant, s_tilde)))).data
+            scores = [ad.sigmoid(self.classifier.forward(_constants(s_tilde))).data
                       for _, s_tilde in self.embed(x, targets, stack)]
         return np.concatenate(scores).reshape(-1)
+
+
+def _arrays(x: Tensor | tuple[Tensor, Tensor]):
+    """The arrays of an embedding: a tensor's, or a (rows, basis) pair's two."""
+    return tuple(t.data for t in x) if isinstance(x, tuple) else x.data
+
+
+def _constants(x: np.ndarray | tuple[np.ndarray, np.ndarray]
+               ) -> Tensor | tuple[Tensor, Tensor]:
+    """`_arrays` back as tape-free tensors."""
+    return tuple(map(ad.constant, x)) if isinstance(x, tuple) else ad.constant(x)
 
 
 @dataclass
@@ -192,13 +205,13 @@ class TrainState:
     telemetry: list[dict] = field(default_factory=list)
 
 
-def discriminator_losses(model: Model, s_tilde: tuple[np.ndarray, np.ndarray],
+def discriminator_losses(model: Model, s_tilde: np.ndarray | tuple[np.ndarray, np.ndarray],
                          targets: np.ndarray) -> dict[str, Tensor]:
     """The discriminator phase's objective: recover each post's seen targets
-    (multi-hot rows) from its filtered embedding, given as a (rows, basis)
-    pair of arrays whose product is the rows of s_tilde."""
-    return {"l_dis": obj.loss_dis(
-        model.discriminator.forward(tuple(map(ad.constant, s_tilde))), targets)}
+    (multi-hot rows) from its filtered embedding, the rows of s_tilde given
+    as an array or as a (rows, basis) pair of arrays (`Model.embed`)."""
+    return {"l_dis": obj.loss_dis(model.discriminator.forward(_constants(s_tilde)),
+                                  targets)}
 
 
 def synergic_losses(model: Model, x: np.ndarray, y: np.ndarray,
@@ -266,14 +279,19 @@ def phase_discriminator(state: TrainState, rows: tuple[np.ndarray, ...],
                         epochs: int, rng: np.random.Generator) -> None:
     """N epochs of discriminator-only minibatch updates (rest frozen), over
     filtered embeddings that `Model.embed` computes once for the phase: the
-    (n, T*K) coefficient rows of every post and the one basis they share."""
+    (n, T*K) coefficient rows of every post and the one basis they share, or
+    the (n, d) rows where the basis does not fold."""
     model = state.model
     x, y, targets = rows
-    pairs = [s_tilde for _, s_tilde in model.embed(x, targets, model.seen_indicators)]
-    coefficients, basis = np.concatenate([c for c, _ in pairs]), pairs[0][1]
+    chunks = [s_tilde for _, s_tilde in model.embed(x, targets, model.seen_indicators)]
+    if isinstance(chunks[0], tuple):
+        s_rows, basis = np.concatenate([c for c, _ in chunks]), chunks[0][1]
+    else:
+        s_rows, basis = np.concatenate(chunks), None
     _run_phase(state, x, y, epochs, rng, "dis", ("dis",),
-               lambda batch: discriminator_losses(model, (coefficients[batch], basis),
-                                                  targets[batch]))
+               lambda batch: discriminator_losses(
+                   model, s_rows[batch] if basis is None else (s_rows[batch], basis),
+                   targets[batch]))
 
 
 def phase_filter(state: TrainState, rows: tuple[np.ndarray, ...],

@@ -114,13 +114,9 @@ def test_ensemble_laws(announce):
     inds = np.stack([rng.normal(size=5) for _ in names])
     s = ad.constant(rng.normal(size=(6, 10)))
 
-    def multiplied(pair):
-        rows, basis = pair
-        return rows.data @ basis.data
-
     def filtered(stack, targets):
         factors, mix = hf.ensemble_params(hyper, stack, targets)
-        return multiplied(hf.apply_filter(s, factors, mix))
+        return ad.unfactored(hf.apply_filter(s, factors, mix)).data
 
     sets = [{"t0", "t2"}, {"t1"}, set(names), {"t3", "t1"}, {"t0"}, {"t2", "t3"}]
     members = membership(sets, names)
@@ -137,7 +133,8 @@ def test_ensemble_laws(announce):
 
     # a singleton set is filtered by its own target's filter, exactly, also
     # when the stack holds other targets
-    solo = multiplied(hf.apply_filter(s, hf.target_theta(hyper, inds[:1]), np.ones((6, 1))))
+    solo = ad.unfactored(hf.apply_filter(s, hf.target_theta(hyper, inds[:1]),
+                                         np.ones((6, 1)))).data
     assert np.array_equal(single, solo)
     assert np.array_equal(filtered(inds, membership([{"t0"}] * 6, names)), solo)
     announce("[4/9] ensemble laws: PASS "

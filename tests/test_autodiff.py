@@ -71,7 +71,7 @@ class TestMlpForward:
 
 class TestDense:
     """`dense` against finite differences, on a plain input and on a factored
-    (rows, basis) pair whose basis folds (2 < 4 rows) or is multiplied out."""
+    (rows, basis) pair, whose basis it folds into the weight."""
 
     @staticmethod
     def arrays(basis_rows, seed=0):
@@ -90,7 +90,7 @@ class TestDense:
         return ad.dense(x, t["w"], t["b"], relu=relu)
 
     @pytest.mark.parametrize("relu", [False, True])
-    @pytest.mark.parametrize("basis_rows", [None, 2, 4])
+    @pytest.mark.parametrize("basis_rows", [None, 2])
     @pytest.mark.parametrize("fixed", [(), ("w",), ("x", "rows")],
                              ids=["all-trainable", "frozen-weight", "constant-input"])
     def test_matches_finite_differences(self, relu, basis_rows, fixed):
@@ -128,6 +128,26 @@ class TestDense:
             ad.dense((ad.constant(np.zeros((5, 2))), ad.constant(np.zeros((3, 4)))), w, b)
         with pytest.raises(DimensionError):
             ad.dense((ad.constant(np.zeros((5, 2))), ad.constant(np.zeros((2, 5)))), w, b)
+
+
+class TestFactored:
+    def test_basis_with_fewer_rows_than_columns_stays_a_pair(self):
+        rows, basis = ad.constant(np.ones((5, 2))), ad.constant(np.ones((2, 4)))
+        assert ad.factored(rows, basis) == (rows, basis)
+        assert ad.shape_of((rows, basis)) == (5, 4)
+
+    @pytest.mark.parametrize("basis_rows", [4, 6])
+    def test_square_or_tall_basis_is_multiplied_out(self, basis_rows):
+        rng = np.random.default_rng(basis_rows)
+        rows, basis = rng.normal(size=(5, basis_rows)), rng.normal(size=(basis_rows, 4))
+        out = ad.factored(ad.constant(rows), ad.constant(basis))
+        assert isinstance(out, Tensor)
+        np.testing.assert_array_equal(out.data, rows @ basis)
+
+    def test_unfactored_multiplies_a_pair_and_passes_a_tensor(self):
+        rows, basis = ad.constant(np.ones((5, 2))), ad.constant(np.full((2, 4), 3.0))
+        np.testing.assert_array_equal(ad.unfactored((rows, basis)).data, np.full((5, 4), 6.0))
+        assert ad.unfactored(rows) is rows
 
 
 class TestBackward:

@@ -107,12 +107,21 @@ class TestEncoderAdapter:
     def test_square_single_layer_starts_as_identity(self):
         adapter = emb.EncoderAdapter(4, 4, np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(3, 4))
-        rows, basis = adapter.encode(ad.constant(x))
-        np.testing.assert_array_equal(rows.data @ basis.data, x)
+        out = adapter.encode(ad.constant(x))
+        np.testing.assert_array_equal(out.data, x)
 
     def test_projecting_layer_output_shape(self):
         adapter = emb.EncoderAdapter(10, 6, np.random.default_rng(0))
-        assert ad.shape_of(adapter.encode(ad.constant(np.zeros((5, 10))))) == (5, 6)
+        out = adapter.encode(ad.constant(np.zeros((5, 10))))
+        assert out.data.shape == (5, 6)
+
+    def test_narrow_input_encodes_as_a_pair(self):
+        # d_in < d_out: the encoding stays factored as (x, W0), which a
+        # head's first layer folds
+        adapter = emb.EncoderAdapter(3, 6, np.random.default_rng(0))
+        x = ad.constant(np.random.default_rng(1).normal(size=(5, 3)))
+        rows, basis = adapter.encode(x)
+        assert rows is x and basis is adapter.group.tensors["W0"]
 
     def test_dim_mismatch_rejected(self):
         adapter = emb.EncoderAdapter(10, 6, np.random.default_rng(0))
@@ -121,8 +130,7 @@ class TestEncoderAdapter:
 
     def test_gradients_reach_adapter_weights(self):
         adapter = emb.EncoderAdapter(5, 3, np.random.default_rng(0), depth=2)
-        out = ad.matmul(*adapter.encode(ad.constant(
-            np.random.default_rng(1).normal(size=(4, 5)))))
+        out = adapter.encode(ad.constant(np.random.default_rng(1).normal(size=(4, 5))))
         ad.backward(ad.tsum(out * out))
         for name, tensor in adapter.group.tensors.items():
             assert tensor.grad is not None, name
@@ -137,8 +145,8 @@ class TestEncodePosts:
                    PostRecord(id="b", targets=("x",), label=1,
                               embedding=np.asarray([3.0, 4.0]))]
         adapter = emb.EncoderAdapter(2, 2, np.random.default_rng(0))
-        rows, basis = emb.encode_posts(emb.stack_embeddings(records), adapter)
-        np.testing.assert_array_equal(rows.data @ basis.data, [[1.0, 2.0], [3.0, 4.0]])
+        out = emb.encode_posts(emb.stack_embeddings(records), adapter)
+        np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_text_only_record_rejected(self):
         from fairfilter.data import PostRecord

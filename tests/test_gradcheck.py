@@ -1,4 +1,5 @@
 import gradcheck
+from fairfilter import autodiff as ad
 from fairfilter import hyperfilter as hf
 from fairfilter.trainer import tabulate
 
@@ -8,9 +9,9 @@ def test_kink_guard_sees_relus_inside_dense_layers():
     # pre-activation on its kink must be rejected like any other
     model, records = gradcheck.smooth_case(0, d=16, rank=2, depth=2, n_targets=4)
     x, _, targets = tabulate(records, model.seen_targets)
-    _, (rows, basis) = model.filter_batch(
+    _, s_tilde = model.filter_batch(
         x, *hf.ensemble_params(model.hyper, model.seen_indicators, targets))
     w0, b0 = (model.classifier.group.tensors[k] for k in ("W0", "b0"))
-    pre = rows.data @ basis.data @ w0.data + b0.data
+    pre = ad.unfactored(s_tilde).data @ w0.data + b0.data
     b0.data[0] -= pre[0, 0]
     assert not gradcheck.draw_is_smooth(model, records)

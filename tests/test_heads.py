@@ -95,18 +95,20 @@ class TestFactoredInput:
     @pytest.mark.parametrize("make", [
         lambda rng: heads.DiscriminatorHead(6, 4, rng, hidden=8),
         lambda rng: heads.ClassifierHead(6, rng, hidden=8)])
-    @pytest.mark.parametrize("basis_rows", [3, 6])  # 3 < 6 folds; 6 multiplies out
-    def test_head_on_pair_matches_head_on_product(self, make, basis_rows):
+    @pytest.mark.parametrize("basis_rows", [3, 6])  # 3 < 6 stays a pair; 6 multiplies out
+    def test_head_on_factored_matches_head_on_product(self, make, basis_rows):
         rng = np.random.default_rng(basis_rows)
         head = make(rng)
         rows, basis = rng.normal(size=(7, basis_rows)), rng.normal(size=(basis_rows, 6))
-        on_pair = head.forward((ad.constant(rows), ad.constant(basis)))
-        ad.backward(ad.tsum(on_pair * on_pair))
-        pair_grads = {k: g.copy() for k, g in head.group.grads.items()}
+        factored = ad.factored(ad.constant(rows), ad.constant(basis))
+        assert isinstance(factored, tuple) == (basis_rows < 6)
+        on_factored = head.forward(factored)
+        ad.backward(ad.tsum(on_factored * on_factored))
+        factored_grads = {k: g.copy() for k, g in head.group.grads.items()}
         for t in head.group.tensors.values():
             t.grad = None
         on_product = head.forward(ad.constant(rows @ basis))
         ad.backward(ad.tsum(on_product * on_product))
-        np.testing.assert_allclose(on_pair.data, on_product.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(on_factored.data, on_product.data, rtol=0, atol=1e-12)
         for k, g in head.group.grads.items():
-            np.testing.assert_allclose(pair_grads[k], g, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(factored_grads[k], g, rtol=0, atol=1e-12)

@@ -151,10 +151,9 @@ class TestEnsembleParams:
             tabulate([post("t0", "ghost")], ["t0", "t1"])
 
 
-def multiplied(pair):
-    """The dense (n, d) embeddings a (rows, basis) pair stands for."""
-    rows, basis = pair
-    return rows.data @ basis.data
+def multiplied(x):
+    """The dense (n, d) embeddings of a tensor or of a (rows, basis) pair."""
+    return ad.unfactored(x).data
 
 
 def dense_as_factors(*thetas):
@@ -262,7 +261,8 @@ class TestGradientFlow:
         rng = np.random.default_rng(9)
         ind = {f"t{i}": rng.normal(size=3) for i in range(2)}
         factors, mix = ensemble(hyper, ind, [{"t0", "t1"}, {"t0"}, {"t1"}])
-        out = ad.matmul(*hf.apply_filter(ad.constant(rng.normal(size=(3, 4))), factors, mix))
+        out = ad.unfactored(hf.apply_filter(ad.constant(rng.normal(size=(3, 4))), factors,
+                                            mix))
         ad.backward(ad.tsum(out * out))
         grads = hyper.group.grads
         assert all(g is not None for g in grads.values())

@@ -69,10 +69,9 @@ def taped_filter_batch(model, records):
         model.hyper, model.seen_indicators, targets))
 
 
-def multiplied(pair):
-    """The dense (n, d) embeddings a (rows, basis) pair of tensors stands for."""
-    rows, basis = pair
-    return rows.data @ basis.data
+def multiplied(x):
+    """The dense (n, d) embeddings of a tensor or of a (rows, basis) pair."""
+    return ad.unfactored(x).data
 
 
 def assert_names_the_batch(error, records):
@@ -216,6 +215,43 @@ class TestModel:
                                    multiplied(s), rtol=0, atol=1e-12)
         np.testing.assert_allclose(np.concatenate([r @ b for _, (r, b) in chunks]),
                                    multiplied(s_tilde), rtol=0, atol=1e-12)
+
+    def test_unfolded_embeddings_travel_as_dense_rows(self):
+        # a square adapter weight (depth 2) and T*K == d: no basis folds, so
+        # filter_batch and embed carry (n, d) rows, and fit trains on them
+        config = tiny_config(hidden_dim=3, adapter_depth=2, batch_size=7, max_rounds=1)
+        targets = ("a", "b", "c")
+        model = tiny_model(config, targets=targets)
+        records = tiny_records(20, targets=targets)
+        s, s_tilde = taped_filter_batch(model, records)
+        assert isinstance(s, ad.Tensor) and isinstance(s_tilde, ad.Tensor)
+        x, _, members = seen_rows(model, records)
+        chunks = list(model.embed(x, members, model.seen_indicators))
+        assert all(isinstance(a, np.ndarray) for chunk in chunks for a in chunk)
+        np.testing.assert_allclose(np.concatenate([c for c, _ in chunks]), s.data,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.concatenate([c for _, c in chunks]), s_tilde.data,
+                                   rtol=0, atol=1e-12)
+        state = trainer.fit(config, tiny_split(targets=targets), tiny_indicators(targets))
+        assert {row["phase"] for row in state.history} == {"dis", "filter"}
+        assert all(np.isfinite(row["l_dis"]) for row in state.history)
+
+    def test_unfolded_adapter_output_is_formed_once(self):
+        # at adapter depth 2 the last weight W1 is square and does not fold:
+        # s = h W1 is formed once and read by the filter and the classifier
+        model = tiny_model(tiny_config(adapter_depth=2), targets=("a", "b", "c"))
+        x, y, targets = seen_rows(model, tiny_records(12, targets=("a", "b", "c")))
+        losses = trainer.synergic_losses(model, x, y, targets)
+        w_last = model.adapter.group.tensors["W1"]
+        seen, stack, readers = set(), [losses["synergic"]], 0
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            readers += any(p is w_last for p in node._parents)
+            stack.extend(node._parents)
+        assert readers == 1
 
     def test_predict_is_order_equivariant(self):
         model = tiny_model()
