@@ -1,10 +1,15 @@
 """Dense float64 tensors with a small reverse-mode tape and an Adam optimizer.
 
 The tape covers exactly the operations the rest of the package needs
-(matmul, einsum, broadcasting arithmetic, ReLU/sigmoid/softplus/sqrt,
-reductions, basic indexing, reshape) plus `dense`, one node per affine
-layer (x W + b, optionally ReLU'd), which `mlp_forward` runs for every
-layer. An embedding of low rank can travel as a factored pair (rows, basis)
+(matmul, einsum, broadcasting arithmetic, ReLU/sigmoid, sums, basic
+indexing, reshape) plus `dense`, one node per affine layer (x W + b,
+optionally ReLU'd), which `mlp_forward` runs for every layer. `node` makes
+any other operation one node from its value, its inputs and a function
+returning each input's gradient; the loss terms in `objectives` are built
+that way, each one node with a closed-form backward. `logistic` holds the
+overflow-free softplus and sigmoid numerics they share with `sigmoid`.
+
+An embedding of low rank can travel as a factored pair (rows, basis)
 that stands for rows·basis: `factored` keeps the pair when the basis has
 fewer rows than columns and multiplies it out otherwise, and `dense` folds
 a pair's basis into its weight, so the product is never formed.
@@ -12,13 +17,17 @@ a pair's basis into its weight, so the product is never formed.
 Graphs are rebuilt every step, so freeze state is captured at construction
 time of each node. A node that no gradient can reach keeps no parents and no
 backward closure: a forward with every group frozen, or any forward inside
-`no_grad()`, builds no graph. `adam_step` updates its moments in place and
-gives each parameter a fresh array.
+`no_grad()`, builds no graph. Every tensor carries its creation number, and
+a node is always made after its parents, so `backward` runs the nodes in
+reverse creation order. `adam_step` updates its moments in place and gives
+each parameter a fresh array.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -32,6 +41,8 @@ def _as_array(x) -> np.ndarray:
 
 
 _recording = True
+_created = itertools.count()  # creation numbers: a topological order of the tape
+_creation_order = operator.attrgetter("_seq")
 
 
 @contextlib.contextmanager
@@ -50,10 +61,11 @@ def no_grad():
 class Tensor:
     """A node in the computation graph holding a float64 ndarray."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_seq")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         self.data = _as_array(data)
+        self._seq = next(_created)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad or _recording and any(p.requires_grad for p in _parents)
         # a node no gradient can reach keeps no tape: its output is a constant
@@ -115,6 +127,21 @@ def _acc(t: Tensor, g: np.ndarray) -> None:
     if g.shape != t.data.shape:
         g = _unbroadcast(g, t.data.shape)
     t.grad = g if t.grad is None else t.grad + g
+
+
+def node(value, inputs: tuple[Tensor, ...], grads) -> Tensor:
+    """One node of value `value` over `inputs`. `grads(g)` maps the gradient
+    g of the value to one gradient per input, in the inputs' order, each of
+    that input's shape or of a shape it broadcasts to (summed back); None
+    skips an input. It runs only in `backward`, and an input that needs no
+    gradient drops its own."""
+
+    def bwd(g, inputs=inputs):
+        for t, grad in zip(inputs, grads(g)):
+            if grad is not None:
+                _acc(t, grad)
+
+    return Tensor(value, _parents=inputs, _backward=bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -235,36 +262,21 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(np.maximum(a.data, 0.0), _parents=(a,), _backward=bwd)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    """Logistic function from exp(-|x|), which never overflows."""
-    e = np.exp(-np.abs(a.data))
+def logistic(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """softplus(x) = log(1 + e^x), sigmoid(x) and its slope sigmoid(x)
+    sigmoid(-x), all from e^-|x|, which never overflows: softplus is
+    max(x, 0) + log1p(e^-|x|)."""
+    e = np.exp(-np.abs(x))
     inv = 1.0 / (1.0 + e)
-    out = np.where(a.data >= 0, inv, e * inv)
-    slope = e * inv * inv
+    return np.maximum(x, 0.0) + np.log1p(e), np.where(x >= 0, inv, e * inv), e * inv * inv
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    """Logistic function (`logistic`)."""
+    _, out, slope = logistic(a.data)
 
     def bwd(g, a=a, slope=slope):
         _acc(a, g * slope)
-
-    return Tensor(out, _parents=(a,), _backward=bwd)
-
-
-def softplus(a: Tensor) -> Tensor:
-    """log(1 + e^x) as max(x, 0) + log1p(e^-|x|), which never overflows; its
-    slope is the logistic function."""
-    e = np.exp(-np.abs(a.data))
-    slope = np.where(a.data >= 0, 1.0, e) / (1.0 + e)
-
-    def bwd(g, a=a, slope=slope):
-        _acc(a, g * slope)
-
-    return Tensor(np.maximum(a.data, 0.0) + np.log1p(e), _parents=(a,), _backward=bwd)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.data)
-
-    def bwd(g, a=a, out=out):
-        _acc(a, g * 0.5 / out)
 
     return Tensor(out, _parents=(a,), _backward=bwd)
 
@@ -278,11 +290,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         _acc(a, np.broadcast_to(g, shape))
 
     return Tensor(a.data.sum(axis=axis, keepdims=keepdims), _parents=(a,), _backward=bwd)
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -352,36 +359,30 @@ def einsum(spec: str, *operands: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss into all reachable grads.
 
-    Frozen (requires_grad=False) leaves receive no accumulation; subgraphs
-    with no trainable leaves are skipped entirely.
+    The taped nodes that the loss reaches run once each, in reverse
+    creation order: a node is made after its parents, so every node's
+    gradient is complete before its own backward reads it. Frozen
+    (requires_grad=False) leaves receive no accumulation; subgraphs with no
+    trainable leaves are skipped entirely.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
 
-    # iterative topological order over the grad-requiring subgraph
-    topo: list[Tensor] = []
-    visiting: set[int] = set()
-    done: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    nodes = [loss]  # the loss, then every taped node it reaches
+    reached = {loss}
+    stack = [loss]
     while stack:
-        node, processed = stack.pop()
-        nid = id(node)
-        if processed:
-            topo.append(node)
-            done.add(nid)
-            continue
-        if nid in done or nid in visiting:
-            continue
-        visiting.add(nid)
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in done:
-                stack.append((p, False))
+        for p in stack.pop()._parents:
+            if p._backward is not None and p not in reached:
+                reached.add(p)
+                nodes.append(p)
+                stack.append(p)
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+    nodes.sort(key=_creation_order, reverse=True)
+    for t in nodes:
+        if t._backward is not None and t.grad is not None:
+            t._backward(t.grad)
 
 
 @dataclass

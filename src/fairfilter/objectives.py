@@ -3,15 +3,34 @@
 All batch losses are means over posts so that coefficient defaults transfer
 across batch sizes; the gap-alignment term is a pure sum over unordered
 target pairs. Targets are positions in the caller's order, never names.
+
+Each term is one tape node with a closed-form backward (`ad.node`), and so
+is their synergic sum. A value is computed with the numpy operations, in
+the order, of the term's formula written out as separate tape ops, so it
+is bitwise the same; the gradients agree with that form to rounding.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DimensionError, GraphError
+
+
+def _bce(logits: Tensor, p: np.ndarray) -> Tensor:
+    """Binary cross-entropy with logits as one node: with z the logits in
+    the (n, k) shape of the labels p, per entry softplus(z) - p*z, summed
+    over the k columns, mean over the n rows. The slope is (sigmoid(z) - p)/n."""
+    z = logits.data.reshape(p.shape)
+    softplus, prob, _ = ad.logistic(z)
+    n = len(z)
+    value = (softplus - p * z).sum(axis=1).sum() * (1.0 / n)
+    shape = logits.data.shape
+    return ad.node(value, (logits,), lambda g: (((prob - p) * (g / n)).reshape(shape),))
 
 
 def loss_dis(logits: Tensor, p: np.ndarray) -> Tensor:
@@ -25,8 +44,31 @@ def loss_dis(logits: Tensor, p: np.ndarray) -> Tensor:
     if logits.data.shape != p.shape:
         raise DimensionError(
             f"discriminator loss: logits {logits.shape} vs labels {p.shape}")
-    per_entry = ad.softplus(logits) - ad.constant(p) * logits
-    return ad.tmean(ad.tsum(per_entry, axis=1))
+    return _bce(logits, p)
+
+
+@functools.lru_cache(maxsize=16)
+def _gap_constants(stack: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The indicator cosines, the upper-triangle pair mask and the identity
+    for the (n, k) float64 indicator stack whose bytes are `stack`.
+
+    A model trains against one fixed stack, so these are formed once rather
+    than at every step; the result depends on the bytes alone and is
+    read-only, so every caller may share it.
+    """
+
+    def unit(vec: np.ndarray, row: int) -> np.ndarray:
+        norm = np.linalg.norm(vec)
+        if norm == 0.0:
+            raise GraphError(f"degenerate cosine: zero-norm indicator in row {row}")
+        return vec / norm
+
+    indicators = np.frombuffer(stack).reshape(n, -1)
+    units = np.stack([unit(vec, row) for row, vec in enumerate(indicators)])
+    constants = (units @ units.T, np.triu(np.ones((n, n)), k=1), np.eye(n))
+    for array in constants:
+        array.flags.writeable = False
+    return constants
 
 
 def loss_reg(indicators: np.ndarray, grams: list[Tensor]) -> Tensor:
@@ -36,33 +78,40 @@ def loss_reg(indicators: np.ndarray, grams: list[Tensor]) -> Tensor:
     the flattened filter parameters' cosine, summed over filter layers.
     Row t of the (T, indicator_dim) stack `indicators` is row and column t
     of each layer's filter Gram matrix `grams[l]` (`hyperfilter.filter_gram`).
+    A cosine is G_ab / sqrt(G_aa G_bb); one node covers every layer.
     """
     n = len(indicators)
     if n < 2:
         raise ConfigError("gap alignment needs at least two training targets")
     if any(g.data.shape != (n, n) for g in grams):
         raise DimensionError(f"gap alignment: every Gram matrix must be ({n}, {n})")
+    ind_cos, pairs, eye = _gap_constants(
+        np.ascontiguousarray(indicators, dtype=np.float64).tobytes(), n)
 
-    def unit(vec: np.ndarray, row: int) -> np.ndarray:
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            raise GraphError(f"degenerate cosine: zero-norm indicator in row {row}")
-        return vec / norm
-
-    units = np.stack([unit(vec, row) for row, vec in enumerate(indicators)])
-    ind_cos = units @ units.T
-    pairs = np.triu(np.ones((n, n)), k=1)
-    eye = np.eye(n)
-
-    total = ad.constant(0.0)
+    total = 0.0
+    layers = []
     for gram in grams:
-        sq_norms = ad.tsum(gram * eye, axis=1)
-        if np.any(sq_norms.data == 0.0):
+        sq_norms = (gram.data * eye).sum(axis=1)
+        if np.any(sq_norms == 0.0):
             raise GraphError("degenerate cosine: zero-norm filter parameters")
-        cos = gram / ad.sqrt(ad.reshape(sq_norms, (n, 1)) * ad.reshape(sq_norms, (1, n)))
+        root = np.sqrt(sq_norms.reshape(n, 1) * sq_norms.reshape(1, n))
+        cos = gram.data / root
         gap = cos - ind_cos
-        total = total + ad.tsum(gap * gap * pairs)
-    return total
+        total = total + (gap * gap * pairs).sum()
+        layers.append((sq_norms, root, cos, gap))
+
+    def grads(g):
+        # through cos = G / root directly, and through the squared norms G_aa:
+        # d cos_ab / d G_aa = -cos_ab / (2 G_aa), from both a row and a column
+        out = []
+        for sq_norms, root, cos, gap in layers:
+            upstream = 2.0 * g * gap * pairs
+            flow = upstream * cos
+            out.append(upstream / root
+                       - np.diag((flow.sum(axis=1) + flow.sum(axis=0)) / (2.0 * sq_norms)))
+        return out
+
+    return ad.node(total, tuple(grams), grads)
 
 
 def loss_hate(logits: Tensor, y: np.ndarray) -> Tensor:
@@ -71,8 +120,7 @@ def loss_hate(logits: Tensor, y: np.ndarray) -> Tensor:
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if logits.data.size != y.size:
         raise DimensionError(f"hate loss: logits {logits.shape} vs labels {y.shape}")
-    z = ad.reshape(logits, (-1,))
-    return ad.tmean(ad.softplus(z) - ad.constant(y) * z)
+    return _bce(logits, y.reshape(-1, 1))
 
 
 def loss_imi(logits: Tensor, logits_prime: Tensor) -> Tensor:
@@ -81,24 +129,34 @@ def loss_imi(logits: Tensor, logits_prime: Tensor) -> Tensor:
     Both logits must come from the same classifier head. With z filtered and
     z' unfiltered, the two-class KL(sigmoid(z) || sigmoid(z')) equals
     softplus(z') - softplus(z) + sigmoid(z)*(z - z'); mean over the batch.
+    The slopes are sigmoid'(z)(z - z') and sigmoid(z') - sigmoid(z), over n.
     """
     if logits.data.shape != logits_prime.data.shape:
         raise DimensionError(
             f"imitation loss: shapes {logits.shape} vs {logits_prime.shape}")
-    z = ad.reshape(logits, (-1,))
-    z_prime = ad.reshape(logits_prime, (-1,))
-    kl = ad.softplus(z_prime) - ad.softplus(z) + ad.sigmoid(z) * (z - z_prime)
-    return ad.tmean(kl)
+    z = logits.data.reshape(-1)
+    z_prime = logits_prime.data.reshape(-1)
+    softplus, prob, slope = ad.logistic(z)
+    softplus_prime, prob_prime, _ = ad.logistic(z_prime)
+    diff = z - z_prime
+    n = z.size
+    value = (softplus_prime - softplus + prob * diff).sum() * (1.0 / n)
+    shape = logits.data.shape
+    return ad.node(value, (logits, logits_prime),
+                   lambda g: ((slope * diff * (g / n)).reshape(shape),
+                              ((prob_prime - prob) * (g / n)).reshape(shape)))
 
 
 def synergic(l_hate: Tensor, l_dis: Tensor, l_reg: Tensor, l_imi: Tensor,
              lam: float, gamma: float, mu: float) -> Tensor:
-    """Filter-phase objective: l_hate + mu*l_reg + gamma*l_imi - lam*l_dis.
+    """Filter-phase objective: l_hate + mu*l_reg + gamma*l_imi - lam*l_dis,
+    one weighted-sum node.
 
     The minus sign makes the filter phase ascend the frozen discriminator's
     loss.
     """
     if lam < 0 or gamma < 0 or mu < 0:
         raise ConfigError("loss coefficients must be non-negative")
-    return l_hate + mu * l_reg + gamma * l_imi - lam * l_dis
-
+    value = l_hate.data + mu * l_reg.data + gamma * l_imi.data - lam * l_dis.data
+    return ad.node(value, (l_hate, l_dis, l_reg, l_imi),
+                   lambda g: (g, -lam * g, mu * g, gamma * g))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from fairfilter import autodiff as ad
+from fairfilter import objectives as obj
 from fairfilter.data import PostRecord
 from fairfilter.trainer import LOSS_KEYS, Model, TrainConfig, synergic_losses, tabulate
 
@@ -53,13 +54,14 @@ def draw_is_smooth(model: Model, records) -> bool:
     loss so far that some coordinates' slopes fall to the float64 rounding
     floor of a central difference: without the logit guard, a saturated draw
     fails at hyper.L0.W1[79] with rel err 1.7e-4 on an FD slope of 6.6e-7.
-    The inputs of `ad.softplus` are exactly the three head outputs. ReLUs run
-    both as `ad.relu` and inside `ad.dense` (every head layer but the last),
-    so both are probed.
+    The logit inputs of `loss_hate`, `loss_dis` and `loss_imi` are exactly
+    the three head outputs. ReLUs run both as `ad.relu` and inside `ad.dense`
+    (every head layer but the last), so both are probed.
     """
     min_kink = [np.inf]
     max_logit = [0.0]
-    orig_relu, orig_dense, orig_softplus = ad.relu, ad.dense, ad.softplus
+    orig_relu, orig_dense = ad.relu, ad.dense
+    orig_losses = {name: getattr(obj, name) for name in ("loss_hate", "loss_dis", "loss_imi")}
 
     def read_kinks(pre):
         if pre.size:
@@ -75,25 +77,38 @@ def draw_is_smooth(model: Model, records) -> bool:
                 read_kinks(orig_dense(x, w, b).data)
         return orig_dense(x, w, b, relu=relu)
 
-    def softplus_probe(t):
-        max_logit[0] = max(max_logit[0], float(np.max(np.abs(t.data))))
-        return orig_softplus(t)
+    def logit_probe(loss):
+        def probe(*args):
+            for t in args:
+                if isinstance(t, ad.Tensor):
+                    max_logit[0] = max(max_logit[0], float(np.max(np.abs(t.data))))
+            return loss(*args)
+        return probe
 
-    ad.relu, ad.dense, ad.softplus = relu_probe, dense_probe, softplus_probe
+    ad.relu, ad.dense = relu_probe, dense_probe
+    for name, loss in orig_losses.items():
+        setattr(obj, name, logit_probe(loss))
     try:
         synergic_losses(model, *tabulate(records, model.seen_targets))
     finally:
-        ad.relu, ad.dense, ad.softplus = orig_relu, orig_dense, orig_softplus
+        ad.relu, ad.dense = orig_relu, orig_dense
+        for name, loss in orig_losses.items():
+            setattr(obj, name, loss)
     return min_kink[0] > KINK_GUARD and max_logit[0] < LOGIT_GUARD
 
 
-def smooth_case(seed: int, **kwargs):
-    """First smooth draw at or after `seed` (deterministic)."""
+def smooth_seed(seed: int, **kwargs) -> int:
+    """The first seed at or after `seed`, in steps of 1000, whose draw is
+    smooth (deterministic)."""
     for offset in range(50):
-        model, records = build_case(seed + 1000 * offset, **kwargs)
-        if draw_is_smooth(model, records):
-            return model, records
+        if draw_is_smooth(*build_case(seed + 1000 * offset, **kwargs)):
+            return seed + 1000 * offset
     raise AssertionError("no smooth parameter draw found")
+
+
+def smooth_case(seed: int, **kwargs):
+    """The draw of `smooth_seed`."""
+    return build_case(smooth_seed(seed, **kwargs), **kwargs)
 
 
 def analytic_grads(model: Model, records, loss_name: str) -> dict:

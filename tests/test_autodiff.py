@@ -190,15 +190,17 @@ class TestBackward:
         lambda a, b: ad.matmul(a, b),
         lambda a, b: ad.relu(a - b),
         lambda a, b: ad.sigmoid(a) * b,
-        lambda a, b: ad.softplus(a) * b,
-        lambda a, b: ad.sqrt(a * a + 0.5) * b,
+        lambda a, b: ad.node(np.tanh(a.data), (a,),
+                             lambda g: (g * (1.0 - np.tanh(a.data) ** 2),)) * b,
+        lambda a, b: ad.node(2.0 * np.sin(a.data), (a, b),
+                             lambda g: (g * 2.0 * np.cos(a.data), None)) + b,
         lambda a, b: ad.einsum("ij->ji", a) + ad.einsum("ij->ji", b),
         lambda a, b: ad.reshape(a, (1, 9)) + ad.reshape(b, (1, 9)),
         lambda a, b: a[1:, :] * b[:2, :],
         lambda a, b: a[::-1, None, 1] * b[..., 0],
         lambda a, b: ad.einsum("ij,kl->ik", a, b),
-        lambda a, b: ad.tmean(a, axis=0) + ad.tsum(b, axis=1),
-        lambda a, b: (ad.softplus(a + 800.0) + ad.softplus(a - 800.0)) * b,
+        lambda a, b: ad.tsum(a, axis=0, keepdims=True) * b + ad.tsum(b, axis=1),
+        lambda a, b: (ad.sigmoid(a + 800.0) + ad.sigmoid(a - 800.0)) * b,
         lambda a, b: ad.einsum("ij,jk,ki->i", a, b, a),
     ])
     def test_op_grads_match_finite_differences(self, op):
@@ -256,17 +258,18 @@ class TestBackward:
         assert out.data[0] == 0.0 and out.data[-1] == 1.0
         assert x.grad[0] == x.grad[-1] == 0.0
 
-    def test_softplus_is_finite_and_exact_at_extreme_logits(self):
-        x0 = np.asarray([-800.0, -40.0, -1.0, 0.0, 1.0, 40.0, 800.0])
-        x = Tensor(x0.copy(), requires_grad=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            out = ad.softplus(x)
-            ad.backward(ad.tsum(out))
-        np.testing.assert_allclose(out.data, np.logaddexp(0.0, x0), rtol=1e-15, atol=0)
-        np.testing.assert_allclose(x.grad, expit(x0), rtol=1e-15, atol=0)
-        assert out.data[0] == 0.0 and out.data[-1] == 800.0
-        assert x.grad[0] == 0.0 and x.grad[-1] == 1.0
+    def test_node_passes_each_gradient_to_its_input(self):
+        a = Tensor(np.asarray([1.0, 2.0]), requires_grad=True)
+        b = Tensor(np.asarray([[3.0], [4.0]]), requires_grad=True)
+        frozen = Tensor(np.ones(2))
+        out = ad.node(a.data * b.data, (a, b, frozen),
+                      lambda g: (g * b.data, g * a.data, np.full(2, 9.0)))
+        assert out._parents == (a, b, frozen)
+        ad.backward(ad.tsum(out) * 0.5)
+        # broadcast gradients are summed back to each input's shape
+        np.testing.assert_array_equal(a.grad, [3.5, 3.5])
+        np.testing.assert_array_equal(b.grad, [[1.5], [1.5]])
+        assert frozen.grad is None
 
     def test_relu_passes_nan_through(self):
         out = ad.relu(Tensor(np.asarray([np.nan, -1.0, 0.0, 2.0])))
@@ -278,6 +281,62 @@ class TestBackward:
         y = x * x + x * 2.0  # dy/dx = 2x + 2 = 8
         ad.backward(y)
         assert x.grad == pytest.approx(8.0)
+
+    @staticmethod
+    def count_backward_calls(t, calls):
+        run = t._backward
+
+        def counted(g):
+            calls.append(t)
+            run(g)
+
+        t._backward = counted
+
+    def test_diamond_runs_the_shared_node_once_with_its_full_gradient(self):
+        x = Tensor(np.asarray([-1.0, 2.0, 3.0]), requires_grad=True)
+        u = ad.relu(x)
+        left, right = u * 2.0, u * 3.0
+        calls = []
+        self.count_backward_calls(u, calls)
+        ad.backward(ad.tsum(left * right))  # 6 u^2, slope 12 u where x > 0
+        assert calls == [u]
+        np.testing.assert_array_equal(u.grad, 12.0 * u.data)
+        np.testing.assert_array_equal(x.grad, [0.0, 24.0, 36.0])
+
+    def test_node_read_twice_sums_both_reads(self):
+        x = Tensor(np.asarray([0.5, -1.5]), requires_grad=True)
+        h = x * 2.0
+        calls = []
+        self.count_backward_calls(h, calls)
+        ad.backward(ad.tsum(h * h))  # 4 x^2, slope 8 x
+        assert calls == [h]
+        np.testing.assert_array_equal(x.grad, [4.0, -12.0])
+
+    def test_frozen_branch_is_skipped(self):
+        frozen = ParamGroup("f")
+        v = frozen.add("V", np.ones((2, 2)))
+        frozen.freeze()
+        x = Tensor(np.asarray([[1.0, 2.0]]), requires_grad=True)
+        branch = ad.relu(ad.matmul(ad.constant([[1.0, -1.0]]), v) + 1.0)
+        assert not branch.requires_grad and branch._backward is None
+        live = ad.matmul(x, v)
+        calls = []
+        self.count_backward_calls(live, calls)
+        ad.backward(ad.tsum(live * branch))
+        assert calls == [live]
+        assert v.grad is None and branch.grad is None
+        np.testing.assert_array_equal(x.grad, branch.data @ v.data.T)
+
+    def test_nodes_run_in_reverse_creation_order(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        first = x * 2.0
+        second = first + x
+        third = second * first
+        calls = []
+        for t in (first, second, third):
+            self.count_backward_calls(t, calls)
+        ad.backward(ad.tsum(third))
+        assert calls == [third, second, first]
 
 
 class TestNoGrad:

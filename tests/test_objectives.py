@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
+import composed_losses as composed
 from fairfilter import autodiff as ad
 from fairfilter import objectives as obj
 from fairfilter.errors import ConfigError, DimensionError, GraphError
@@ -82,6 +86,24 @@ class TestSaturatedLogits:
         np.testing.assert_allclose(z.grad, [[1.0 / n, -1.0 / n], [-1.0 / n, 1.0 / n]],
                                    rtol=1e-15, atol=0)
 
+    def test_softplus_is_finite_and_exact_at_extreme_logits(self):
+        # one post with label 0 costs softplus(z) and has slope sigmoid(z),
+        # on the hate node and on the discriminator's
+        x0 = np.asarray([-800.0, -40.0, -1.0, 0.0, 1.0, 40.0, 800.0])
+        for loss in (obj.loss_hate, obj.loss_dis):
+            out, grad = np.empty_like(x0), np.empty_like(x0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                for i, x in enumerate(x0):
+                    z = ad.Tensor(np.asarray([[x]]), requires_grad=True)
+                    value = loss(z, np.asarray([[0]]) if loss is obj.loss_dis else [0])
+                    ad.backward(value)
+                    out[i], grad[i] = value.item(), z.grad[0, 0]
+            np.testing.assert_allclose(out, np.logaddexp(0.0, x0), rtol=1e-15, atol=0)
+            np.testing.assert_allclose(grad, expit(x0), rtol=1e-15, atol=0)
+            assert out[0] == 0.0 and out[-1] == 800.0
+            assert grad[0] == 0.0 and grad[-1] == 1.0
+
 
 class TestLossImi:
     def test_zero_when_distributions_match(self):
@@ -158,6 +180,16 @@ class TestLossReg:
         # permuting the stack alone pairs other cosines
         assert abs(obj.loss_reg(indicators[perm], layers).item() - base) > 1e-3
 
+    def test_a_stack_changed_in_place_gets_its_own_cosines(self):
+        # the indicator cosines are formed once per stack, keyed by its values
+        rng = np.random.default_rng(6)
+        stack = rng.normal(size=(3, 4))
+        layers = [tensor(f @ f.T) for f in rng.normal(size=(1, 3, 5))]
+        before = obj.loss_reg(stack, layers).item()
+        want = obj.loss_reg(stack[::-1].copy(), layers).item()
+        stack[:] = stack[::-1].copy()
+        assert obj.loss_reg(stack, layers).item() == want != before
+
     def test_single_target_rejected(self):
         with pytest.raises(ConfigError):
             obj.loss_reg(np.ones((1, 2)), grams({"a": [[1.0]]}))
@@ -171,6 +203,31 @@ class TestLossReg:
         thetas["b"] = [[0.0]]
         with pytest.raises(GraphError, match="degenerate"):
             obj.loss_reg(rows(indicators), grams(thetas))
+
+    def test_zero_norm_messages(self):
+        stack = np.asarray([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(GraphError) as info:
+            obj.loss_reg(stack, [tensor(np.eye(3))])
+        assert str(info.value) == "degenerate cosine: zero-norm indicator in row 1"
+        with pytest.raises(GraphError) as info:
+            obj.loss_reg(np.eye(3), [tensor(np.eye(3)), tensor(np.diag([1.0, 0.0, 1.0]))])
+        assert str(info.value) == "degenerate cosine: zero-norm filter parameters"
+
+    def test_depth_two_sums_its_layers(self):
+        rng = np.random.default_rng(9)
+        stack = rng.normal(size=(4, 3))
+        layers = [f @ f.T for f in (rng.normal(size=(4, 6)), rng.normal(size=(4, 2)))]
+        both = [ad.Tensor(g.copy(), requires_grad=True) for g in layers]
+        total = obj.loss_reg(stack, both)
+        ad.backward(total)
+        parts = 0.0
+        for g, joint in zip(layers, both):
+            alone = ad.Tensor(g.copy(), requires_grad=True)
+            part = obj.loss_reg(stack, [alone])
+            ad.backward(part)
+            parts = parts + part.item()
+            assert alone.grad.tobytes() == joint.grad.tobytes()
+        assert total.item() == parts
 
     def test_gram_shape_must_match_the_target_count(self):
         indicators = {"a": np.asarray([1.0, 0.0]), "b": np.asarray([0.0, 1.0])}
@@ -200,3 +257,83 @@ class TestSynergic:
             with pytest.raises(ConfigError):
                 obj.synergic(zero, zero, zero, zero, **kwargs)
 
+
+
+def fd_scalar(fn, x, eps=1e-6):
+    """Central-difference gradient of a scalar function of an ndarray."""
+    grad = np.zeros_like(x)
+    flat, gflat = x.reshape(-1), grad.reshape(-1)
+    for i in range(flat.size):
+        old = flat[i]
+        flat[i] = old + eps
+        plus = fn(x)
+        flat[i] = old - eps
+        minus = fn(x)
+        flat[i] = old
+        gflat[i] = (plus - minus) / (2 * eps)
+    return grad
+
+
+def node_cases():
+    """Per term: a call on a loss module (`objectives` or `composed_losses`)
+    and the arrays of its tensor inputs."""
+    rng = np.random.default_rng(5)
+    p = (rng.random((6, 4)) < 0.5).astype(float)
+    y = rng.integers(0, 2, size=6)
+    stack = rng.normal(size=(4, 3))
+    return {
+        "hate": (lambda m, z: m.loss_hate(z, y), [rng.normal(size=(6, 1))]),
+        "dis": (lambda m, z: m.loss_dis(z, p), [rng.normal(size=(6, 4))]),
+        "imi": (lambda m, z, z_prime: m.loss_imi(z, z_prime),
+                [rng.normal(size=(6, 1)), rng.normal(size=(6, 1))]),
+        "reg": (lambda m, *layers: m.loss_reg(stack, list(layers)),
+                [f @ f.T for f in (rng.normal(size=(4, 7)), rng.normal(size=(4, 5)))]),
+        "synergic": (lambda m, *terms: m.synergic(*terms, lam=0.9, gamma=3.0, mu=0.7),
+                     [np.asarray(v) for v in rng.normal(size=4)]),
+    }
+
+
+class TestOneNodeLosses:
+    """Each term is one node whose value is bitwise that of the term written
+    out as tape ops (`composed_losses`) and whose gradient is that form's."""
+
+    @pytest.mark.parametrize("term", sorted(node_cases()))
+    def test_one_node_over_its_inputs(self, term):
+        call, arrays = node_cases()[term]
+        inputs = tuple(ad.Tensor(a, requires_grad=True) for a in arrays)
+        assert call(obj, *inputs)._parents == inputs
+
+    @pytest.mark.parametrize("term", sorted(node_cases()))
+    def test_value_and_gradients_match_the_composed_form(self, term):
+        call, arrays = node_cases()[term]
+        got, want = ([ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
+                     for _ in range(2))
+        node, reference = call(obj, *got), call(composed, *want)
+        assert node.item() == reference.item()
+        ad.backward(node)
+        ad.backward(reference)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert np.linalg.norm(g.grad - w.grad) <= 1e-12 * np.linalg.norm(w.grad)
+
+            def value(a, i=i):
+                return call(obj, *(ad.constant(a if j == i else b)
+                                   for j, b in enumerate(arrays))).item()
+
+            np.testing.assert_allclose(g.grad, fd_scalar(value, arrays[i].copy()),
+                                       rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("scale", [40.0, 800.0])
+    def test_extreme_logits_stay_finite_without_warnings(self, scale):
+        z = np.asarray([[scale], [-scale], [scale], [-scale]])
+        cases = {"hate": (lambda a: obj.loss_hate(a[0], [0, 1, 1, 0]), [z]),
+                 "dis": (lambda a: obj.loss_dis(a[0], np.asarray([[0, 1]] * 4)),
+                         [np.hstack([z, -z])]),
+                 "imi": (lambda a: obj.loss_imi(a[0], a[1]), [z, -z])}
+        for call, arrays in cases.values():
+            inputs = [ad.Tensor(a, requires_grad=True) for a in arrays]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                loss = call(inputs)
+                ad.backward(loss)
+            assert np.isfinite(loss.item())
+            assert all(np.all(np.isfinite(t.grad)) for t in inputs)

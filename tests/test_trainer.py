@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import composed_losses
 from fairfilter import autodiff as ad
 from fairfilter import data, metrics, trainer
 from fairfilter.data import CorpusSplit, PostRecord
@@ -342,6 +343,45 @@ class TestModel:
         losses = trainer.synergic_losses(model, *seen_rows(model, tiny_records(10)))
         for loss in losses.values():
             assert not loss.requires_grad and loss._parents == ()
+
+
+class TestLossNodes:
+    """Both phases' losses against the terms written out as tape ops."""
+
+    @staticmethod
+    def values_and_grads(model, losses_of):
+        losses = losses_of()
+        *_, objective = losses.values()
+        ad.backward(objective)
+        grads = {name: np.concatenate([t.grad.ravel() for t in g.tensors.values()])
+                 for name, g in model.groups.items() if not g.frozen}
+        for g in model.groups.values():
+            for t in g.tensors.values():
+                t.grad = None
+        return {k: v.item() for k, v in losses.items()}, grads
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_losses_bitwise_and_gradients_match_the_composed_terms(self, depth, monkeypatch):
+        targets = ("a", "b", "c")
+        model = tiny_model(tiny_config(depth=depth, rank=2, batch_size=32), targets=targets)
+        x, y, members = seen_rows(model, tiny_records(24, targets=targets))
+        phases = {"filter": (("enc", "hyper", "hate"),
+                             lambda: trainer.synergic_losses(model, x, y, members)),
+                  "dis": (("dis",), lambda: trainer.discriminator_losses(
+                      model, next(model.embed(x, members, model.seen_indicators))[1],
+                      members))}
+        for trainable, losses_of in phases.values():
+            for name, group in model.groups.items():
+                (group.unfreeze if name in trainable else group.freeze)()
+            node = self.values_and_grads(model, losses_of)
+            with monkeypatch.context() as patched:
+                for term in ("loss_hate", "loss_dis", "loss_imi", "loss_reg", "synergic"):
+                    patched.setattr(trainer.obj, term, getattr(composed_losses, term))
+                reference = self.values_and_grads(model, losses_of)
+            assert node[0] == reference[0]
+            assert node[1].keys() == reference[1].keys() == set(trainable)
+            for name, want in reference[1].items():
+                assert np.linalg.norm(node[1][name] - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestPhases:
