@@ -236,7 +236,8 @@ def dense(x: Tensor | tuple[Tensor, Tensor], w: Tensor, b: Tensor,
     def bwd(g, rows=rows, basis=basis, w=w, b=b, out=out):
         if relu:
             g = g * (out > 0)
-        _acc(b, g)
+        if b.requires_grad:
+            _acc(b, g.sum(axis=0))
         if rows.requires_grad:
             _acc(rows, g @ w_eff.T)
         if basis is None:

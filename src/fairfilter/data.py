@@ -45,7 +45,7 @@ class PostRecord:
         if self.text is not None:
             out["text"] = self.text
         if self.embedding is not None:
-            out["embedding"] = [float(v) for v in self.embedding]
+            out["embedding"] = self.embedding.tolist()
         return out
 
 
@@ -122,9 +122,16 @@ class SyntheticSpec:
             raise ConfigError("n_posts and seed must be >= 0")
         if not self.target_names:
             raise ConfigError("target_names must be non-empty")
+        repeated = sorted({t for t in self.target_names if self.target_names.count(t) > 1})
+        if repeated:
+            raise ConfigError(f"target names listed more than once: {repeated}")
         missing = [t for t in self.target_names if t not in self.label_rates]
         if missing:
             raise ConfigError(f"label_rates missing for targets: {missing}")
+        unknown = sorted(set(self.label_rates) - set(self.target_names))
+        if unknown:
+            raise ConfigError(f"label_rates given for targets not in target_names: "
+                              f"{unknown}")
         for t, rate in self.label_rates.items():
             if not 0.0 < rate < 1.0:
                 raise ConfigError(f"label rate for '{t}' must lie in (0, 1), got {rate}")
@@ -267,6 +274,10 @@ def make_split(records: list[PostRecord], spec: SplitSpec) -> CorpusSplit:
     return CorpusSplit(train=train, validation=validation, test=test_pool)
 
 
+# posts per block when synth_generate adds the planted embeddings to the
+# noise, which bounds the gathered copy at _BLOCK_ROWS x dim
+_BLOCK_ROWS = 1024
+
 # shared-to-specific mix of the planted target directions; cos between any
 # two of them is 1/(1 + TARGET_SPREAD^2), mimicking how identity-group names
 # cluster in real word-vector spaces
@@ -319,30 +330,58 @@ def synth_generate(spec: SyntheticSpec) -> list[PostRecord]:
     leakage is accurate on heavily coupled targets and poor on the rest;
     that spread is the planted per-target disparity. Distinct label rates
     add prior-based disparity on top.
+
+    The random stream is the corpus: one generator seeded spec.seed + 1
+    makes, per post and in this order, exactly four calls, rng.integers(1,
+    min(3, T) + 1) for the target count k, rng.choice(T, size=k,
+    replace=False) for the targets (sorted), rng.random() for the label, and
+    rng.normal(scale=noise, size=dim) for the noise (skipped when noise is
+    0). All arithmetic on embeddings runs after the loop. The noiseless part
+    of an embedding depends only on the post's targets and label, so it is
+    formed once per (targets, label) pair that occurs, by the element-wise
+    operations in the order above: (a*y)*u, then (coeff_t*m_t)/|T| added
+    target by target, then the noise.
     """
     spec.validate()
     u, directions = synth_directions(spec)
     rng = np.random.default_rng(spec.seed + 1)
     names = list(spec.target_names)
     if len(names) == 1:
-        betas = {names[0]: spec.bias_scale}
+        betas = [spec.bias_scale]
     else:
-        ramp = np.linspace(0.0, 2.0, len(names))
-        betas = {t: spec.bias_scale * ramp[j] for j, t in enumerate(names)}
-    records = []
-    width = len(str(max(spec.n_posts - 1, 0)))
+        betas = list(spec.bias_scale * np.linspace(0.0, 2.0, len(names)))
+    sets: dict[tuple[int, ...], tuple[tuple[str, ...], float]] = {}  # -> names, rate
+    kinds: dict[tuple[tuple[int, ...], int], int] = {}  # (set, label) -> table row
+    post_targets, labels, rows = [], [], []
+    embeddings = np.empty((spec.n_posts, spec.dim))
     for i in range(spec.n_posts):
         k = int(rng.integers(1, min(3, len(names)) + 1))
-        chosen = sorted(rng.choice(len(names), size=k, replace=False).tolist())
-        targets = tuple(names[j] for j in chosen)
-        rate = float(np.mean([spec.label_rates[t] for t in targets]))
+        chosen = tuple(sorted(rng.choice(len(names), size=k, replace=False).tolist()))
+        if chosen not in sets:
+            targets = tuple(names[j] for j in chosen)
+            sets[chosen] = targets, float(np.mean([spec.label_rates[t] for t in targets]))
+        targets, rate = sets[chosen]
         y = int(rng.random() < rate)
-        x = spec.signal_scale * y * u
-        for t in targets:
-            coeff = 1.0 + betas[t] * (2 * y - 1)
-            x = x + coeff * directions[t] / len(targets)
+        post_targets.append(targets)
+        labels.append(y)
+        rows.append(kinds.setdefault((chosen, y), len(kinds)))
         if spec.noise > 0:
-            x = x + rng.normal(scale=spec.noise, size=spec.dim)
-        records.append(PostRecord(id=f"s{i:0{width}d}", targets=targets,
-                                  label=y, embedding=x))
-    return records
+            embeddings[i] = rng.normal(scale=spec.noise, size=spec.dim)
+
+    def planted(chosen, y):
+        x = spec.signal_scale * y * u
+        for j in chosen:
+            x = x + (1.0 + betas[j] * (2 * y - 1)) * directions[names[j]] / len(chosen)
+        return x
+
+    table = np.array([planted(*kind) for kind in kinds])
+    rows = np.asarray(rows, dtype=np.intp)
+    for lo in range(0, spec.n_posts, _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        if spec.noise > 0:
+            embeddings[block] += table[rows[block]]  # noise + x is x + noise, bitwise
+        else:
+            embeddings[block] = table[rows[block]]
+    width = len(str(max(spec.n_posts - 1, 0)))
+    return [PostRecord(id=f"s{i:0{width}d}", targets=targets, label=y, embedding=row)
+            for i, (targets, y, row) in enumerate(zip(post_targets, labels, embeddings))]

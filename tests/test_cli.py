@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -88,6 +89,20 @@ class TestSynth:
             assert res.exit_code == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_output_is_pinned(self, tmp_path, runner):
+        # SHA-256 of SYNTH_SPEC's corpus and vectors as the generator wrote
+        # them before it moved its arithmetic out of the per-post loop
+        spec = tmp_path / "synth.cfg"
+        spec.write_text(SYNTH_SPEC)
+        corpus, vectors = tmp_path / "c.jsonl", tmp_path / "v.txt"
+        res = runner.invoke(main, ["synth", str(spec), "-o", str(corpus),
+                                   "--vectors-out", str(vectors)])
+        assert res.exit_code == 0, res.output
+        assert hashlib.sha256(corpus.read_bytes()).hexdigest() \
+            == "7280cd8f7f48398c9eeec68899a6239f35e527ec85d52e8adb47fb0627ff979b"
+        assert hashlib.sha256(vectors.read_bytes()).hexdigest() \
+            == "137fbfbc75ab10cfee91e3ffaad0e7408af8b334da08ea538494916bf4cda0ba"
 
     def test_bad_spec_exits_2(self, tmp_path, runner):
         spec = tmp_path / "synth.cfg"
@@ -426,6 +441,13 @@ MALFORMED_INPUTS = {
         "-o", str(ws / "c.jsonl")]),
     "synth-key-of-another-section": (2, lambda ws: [
         "synth", str(text_file(ws, "s.cfg", SYNTH_SPEC + "train.lr = 5\n")),
+        "-o", str(ws / "c.jsonl")]),
+    "synth-target-named-twice": (2, lambda ws: [
+        "synth", str(text_file(ws, "s.cfg", with_line(
+            SYNTH_SPEC, "synth.targets = alpha, alpha, beta, gamma"))),
+        "-o", str(ws / "c.jsonl")]),
+    "synth-label-rate-of-unknown-target": (2, lambda ws: [
+        "synth", str(text_file(ws, "s.cfg", SYNTH_SPEC + "synth.label_rate.delta = 0.9\n")),
         "-o", str(ws / "c.jsonl")]),
 }
 

@@ -1,8 +1,12 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference_synth
 from fairfilter import data
 from fairfilter.data import (PostRecord, SplitSpec, SyntheticSpec, load_jsonl,
                              make_split, save_jsonl, synth_directions,
@@ -226,6 +230,15 @@ class TestSynthGenerate:
         with pytest.raises(ConfigError, match="seed"):
             small_spec(seed=-1).validate()
 
+    def test_target_named_twice_rejected(self):
+        # counted twice, "a" would weigh double in the post's rate and embedding
+        with pytest.raises(ConfigError, match=r"more than once: \['a'\]"):
+            small_spec(target_names=["a", "a", "b"]).validate()
+
+    def test_label_rate_of_unknown_target_rejected(self):
+        with pytest.raises(ConfigError, match=r"not in target_names: \['c'\]"):
+            small_spec(label_rates={"a": 0.3, "b": 0.7, "c": 0.9}).validate()
+
     def test_target_recovery_unaffected_by_bias(self):
         # the label-free residual identifies mentioned targets whether or
         # not the label is coupled to the target directions
@@ -244,6 +257,75 @@ class TestSynthGenerate:
                 with_t = np.mean([c for c, m in comps if m])
                 without_t = np.mean([c for c, m in comps if not m])
                 assert with_t > without_t + 0.1
+
+
+@st.composite
+def synth_specs(draw):
+    n_targets = draw(st.integers(1, 5))
+    names = [f"t{i}" for i in range(n_targets)]
+    rate = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    return SyntheticSpec(
+        n_posts=draw(st.integers(0, 40)), target_names=names,
+        label_rates={t: draw(rate) for t in names},
+        signal_scale=draw(st.floats(0.05, 3.0)),
+        bias_scale=draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 3.0)),
+        noise=draw(st.just(0.0) | st.floats(0.01, 2.0)),
+        dim=n_targets + 2 + draw(st.integers(0, 4)), seed=draw(st.integers(0, 2**16)))
+
+
+class TestAgainstReferenceLoop:
+    """`synth_generate` against the per-post loop of `reference_synth`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=synth_specs())
+    @example(spec=small_spec(n_posts=0))
+    @example(spec=small_spec(target_names=["solo"], label_rates={"solo": 0.4}, noise=0.7))
+    @example(spec=small_spec(noise=0.0, bias_scale=1.3))
+    @example(spec=small_spec(noise=0.9, bias_scale=0.0))
+    # two targets at bias 0.5: the second's coefficient 1 - 1.0 is 0 on label 0
+    @example(spec=small_spec(n_posts=80, bias_scale=0.5, noise=0.0))
+    @example(spec=small_spec(n_posts=120, target_names=list("abcd"),
+                             label_rates={"a": 0.1, "b": 0.35, "c": 0.6, "d": 0.95},
+                             bias_scale=2.0, noise=1.2, dim=6, seed=5))
+    def test_same_records(self, spec):
+        got, want = synth_generate(spec), reference_synth.synth_generate(spec)
+        assert [(r.id, r.targets, r.label) for r in got] \
+            == [(r.id, r.targets, r.label) for r in want]
+        for g, w in zip(got, want):
+            assert g.embedding.dtype == w.embedding.dtype
+            assert g.embedding.shape == w.embedding.shape == (spec.dim,)
+            assert g.embedding.tobytes() == w.embedding.tobytes()
+
+    def test_save_jsonl_writes_the_float_by_float_bytes(self, tmp_path):
+        records = synth_generate(small_spec(n_posts=60, bias_scale=0.5))
+        records += synth_generate(small_spec(n_posts=60, noise=0.8, seed=3))
+        records.append(PostRecord(id="x", targets=("a",), label=1, text="hi",
+                                  embedding=np.array([-0.0, 1 / 3, 1e-300, -2.5e17])))
+        records.append(PostRecord(id="y", targets=("b",), label=0, text="text only"))
+        p = tmp_path / "c.jsonl"
+        save_jsonl(records, p)
+        assert p.read_bytes() == "".join(
+            json.dumps(reference_synth.to_json(r)) + "\n" for r in records).encode("utf-8")
+
+
+# SHA-256 of `save_jsonl`'s bytes for the benchmark's recipe corpora (8
+# targets at rate 0.5, signal 0.8, bias 2.0, noise 1.2, dim 24, seed 1), as
+# the generator wrote them before it moved its arithmetic out of the loop
+BENCH_CORPUS_SHA256 = {
+    5000: "20f7affdb45fe6431d377767511c9cc99f5f02435653256bd7b9dc7a00fb35bd",
+    20000: "3f9f58bb2bc761c17795fc6775753c89aa346a96b7c5b3e93f5e6da7e9c3a57e",
+}
+
+
+@pytest.mark.parametrize("n_posts", sorted(BENCH_CORPUS_SHA256))
+def test_bench_recipe_corpus_is_pinned(tmp_path, n_posts):
+    targets = [f"t{i}" for i in range(8)]
+    spec = SyntheticSpec(n_posts=n_posts, target_names=targets,
+                         label_rates={t: 0.5 for t in targets}, signal_scale=0.8,
+                         bias_scale=2.0, noise=1.2, dim=24, seed=1)
+    p = tmp_path / "corpus.jsonl"
+    save_jsonl(synth_generate(spec), p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == BENCH_CORPUS_SHA256[n_posts]
 
 
 class TestPlantedDisparity:
