@@ -1,13 +1,16 @@
 """Dense float64 tensors with a small reverse-mode tape and an Adam optimizer.
 
-The tape covers exactly the operations the rest of the package needs
-(matmul, einsum, broadcasting arithmetic, ReLU/sigmoid, sums, basic
-indexing, reshape) plus `dense`, one node per affine layer (x W + b,
-optionally ReLU'd), which `mlp_forward` runs for every layer. `node` makes
-any other operation one node from its value, its inputs and a function
-returning each input's gradient; the loss terms in `objectives` are built
-that way, each one node with a closed-form backward. `logistic` holds the
-overflow-free softplus and sigmoid numerics they share with `sigmoid`.
+Leaves come from `Tensor`: parameters (`ParamGroup.add`) and constants.
+Every other tensor is a node, and every node comes from one call,
+`node(value, inputs, grads)`: its value, the tensors it reads, and a map
+from the value's gradient to one gradient per input. `backward` runs the
+maps and does all accumulation. The ops here are such calls: matmul,
+einsum, broadcasting arithmetic, ReLU/sigmoid, sums, basic indexing,
+reshape, and `dense`, one node per affine layer (x W + b, optionally
+ReLU'd), which `mlp_forward` runs for every layer. The loss terms in
+`objectives` are built the same way, each one node with a closed-form
+map. `logistic` holds the overflow-free softplus and sigmoid numerics
+they share with `sigmoid`.
 
 An embedding of low rank can travel as a factored pair (rows, basis)
 that stands for rows·basis: `factored` keeps the pair when the basis has
@@ -15,12 +18,12 @@ fewer rows than columns and multiplies it out otherwise, and `dense` folds
 a pair's basis into its weight, so the product is never formed.
 
 Graphs are rebuilt every step, so freeze state is captured at construction
-time of each node. A node that no gradient can reach keeps no parents and no
-backward closure: a forward with every group frozen, or any forward inside
-`no_grad()`, builds no graph. Every tensor carries its creation number, and
-a node is always made after its parents, so `backward` runs the nodes in
-reverse creation order. `adam_step` updates its moments in place and gives
-each parameter a fresh array.
+time of each node. A node that no gradient can reach keeps no inputs and no
+map: a forward with every group frozen, or any forward inside `no_grad()`,
+builds no graph. Every tensor carries its creation number, and a node is
+always made after its inputs, so `backward` runs the nodes in reverse
+creation order. `adam_step` updates its moments in place and gives each
+parameter a fresh array.
 """
 
 from __future__ import annotations
@@ -59,18 +62,18 @@ def no_grad():
 
 
 class Tensor:
-    """A node in the computation graph holding a float64 ndarray."""
+    """A float64 ndarray on the tape. `Tensor(data, requires_grad)` makes a
+    leaf; `node` makes every tensor computed from others."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_seq")
 
-    def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
         self._seq = next(_created)
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad or _recording and any(p.requires_grad for p in _parents)
-        # a node no gradient can reach keeps no tape: its output is a constant
-        self._parents = _parents if self.requires_grad else ()
-        self._backward = _backward if self.requires_grad else None
+        self.requires_grad = requires_grad
+        self._parents = ()
+        self._backward = None
 
     @property
     def shape(self):
@@ -121,59 +124,40 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _acc(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
-    if g.shape != t.data.shape:
-        g = _unbroadcast(g, t.data.shape)
-    t.grad = g if t.grad is None else t.grad + g
-
-
 def node(value, inputs: tuple[Tensor, ...], grads) -> Tensor:
-    """One node of value `value` over `inputs`. `grads(g)` maps the gradient
-    g of the value to one gradient per input, in the inputs' order, each of
-    that input's shape or of a shape it broadcasts to (summed back); None
-    skips an input. It runs only in `backward`, and an input that needs no
-    gradient drops its own."""
+    """The node of value `value` over `inputs`: every op makes its node here.
 
-    def bwd(g, inputs=inputs):
-        for t, grad in zip(inputs, grads(g)):
-            if grad is not None:
-                _acc(t, grad)
-
-    return Tensor(value, _parents=inputs, _backward=bwd)
+    `grads(g)` maps the gradient g of the value to one gradient per input, in
+    the inputs' order, each of that input's shape or of a shape it broadcasts
+    to (summed back). It runs only in `backward`, which accumulates what it
+    returns. Returning None for an input both skips it and leaves its gradient
+    uncomputed, so a map checks `requires_grad` before an expensive product;
+    an input that needs no gradient drops whatever it is handed. Under
+    `no_grad()`, or when no input needs a gradient, the node keeps neither its
+    inputs nor `grads`.
+    """
+    t = Tensor(value, _recording and any(p.requires_grad for p in inputs))
+    if t.requires_grad:
+        t._parents = inputs
+        t._backward = grads
+    return t
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    def bwd(g, a=a, b=b):
-        _acc(a, g)
-        _acc(b, g)
-
-    return Tensor(a.data + b.data, _parents=(a, b), _backward=bwd)
+    return node(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    def bwd(g, a=a, b=b):
-        _acc(a, g)
-        _acc(b, -g)
-
-    return Tensor(a.data - b.data, _parents=(a, b), _backward=bwd)
+    return node(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    def bwd(g, a=a, b=b):
-        _acc(a, g * b.data)
-        _acc(b, g * a.data)
-
-    return Tensor(a.data * b.data, _parents=(a, b), _backward=bwd)
+    return node(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    def bwd(g, a=a, b=b):
-        _acc(a, g / b.data)
-        _acc(b, -g * a.data / (b.data * b.data))
-
-    return Tensor(a.data / b.data, _parents=(a, b), _backward=bwd)
+    return node(a.data / b.data, (a, b),
+                lambda g: (g / b.data, -g * a.data / (b.data * b.data)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -181,14 +165,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
     if a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-
-    def bwd(g, a=a, b=b):
-        if a.requires_grad:
-            _acc(a, g @ b.data.T)
-        if b.requires_grad:
-            _acc(b, a.data.T @ g)
-
-    return Tensor(a.data @ b.data, _parents=(a, b), _backward=bwd)
+    return node(a.data @ b.data, (a, b),
+                lambda g: (g @ b.data.T if a.requires_grad else None,
+                           a.data.T @ g if b.requires_grad else None))
 
 
 def factored(rows: Tensor, basis: Tensor) -> Tensor | tuple[Tensor, Tensor]:
@@ -233,34 +212,24 @@ def dense(x: Tensor | tuple[Tensor, Tensor], w: Tensor, b: Tensor,
     if relu:
         out = np.maximum(out, 0.0)
 
-    def bwd(g, rows=rows, basis=basis, w=w, b=b, out=out):
+    def grads(g):
         if relu:
             g = g * (out > 0)
-        if b.requires_grad:
-            _acc(b, g.sum(axis=0))
-        if rows.requires_grad:
-            _acc(rows, g @ w_eff.T)
+        g_rows = g @ w_eff.T if rows.requires_grad else None
+        g_b = g.sum(axis=0) if b.requires_grad else None
         if basis is None:
-            if w.requires_grad:
-                _acc(w, rows.data.T @ g)
-        elif basis.requires_grad or w.requires_grad:  # out = rows (basis W)
-            g_w = rows.data.T @ g
-            if basis.requires_grad:
-                _acc(basis, g_w @ w.data.T)
-            if w.requires_grad:
-                _acc(w, basis.data.T @ g_w)
+            return g_rows, rows.data.T @ g if w.requires_grad else None, g_b
+        # out = rows (basis W): both factors read rows^T g
+        g_w = rows.data.T @ g if basis.requires_grad or w.requires_grad else None
+        return (g_rows, g_w @ w.data.T if basis.requires_grad else None,
+                basis.data.T @ g_w if w.requires_grad else None, g_b)
 
-    parents = (rows, w, b) if basis is None else (rows, basis, w, b)
-    return Tensor(out, _parents=parents, _backward=bwd)
+    return node(out, (rows, w, b) if basis is None else (rows, basis, w, b), grads)
 
 
 def relu(a: Tensor) -> Tensor:
     """max(x, 0); NaN passes through, so the finite guards still see it."""
-
-    def bwd(g, a=a):
-        _acc(a, g * (a.data > 0))
-
-    return Tensor(np.maximum(a.data, 0.0), _parents=(a,), _backward=bwd)
+    return node(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0),))
 
 
 def logistic(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -275,31 +244,17 @@ def logistic(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def sigmoid(a: Tensor) -> Tensor:
     """Logistic function (`logistic`)."""
     _, out, slope = logistic(a.data)
-
-    def bwd(g, a=a, slope=slope):
-        _acc(a, g * slope)
-
-    return Tensor(out, _parents=(a,), _backward=bwd)
+    return node(out, (a,), lambda g: (g * slope,))
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    shape = a.data.shape
-
-    def bwd(g, a=a, axis=axis, keepdims=keepdims, shape=shape):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _acc(a, np.broadcast_to(g, shape))
-
-    return Tensor(a.data.sum(axis=axis, keepdims=keepdims), _parents=(a,), _backward=bwd)
+    return node(a.data.sum(axis=axis, keepdims=keepdims), (a,),
+                lambda g: (np.broadcast_to(g if axis is None or keepdims
+                                           else np.expand_dims(g, axis), a.data.shape),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    old = a.data.shape
-
-    def bwd(g, a=a, old=old):
-        _acc(a, g.reshape(old))
-
-    return Tensor(a.data.reshape(shape), _parents=(a,), _backward=bwd)
+    return node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
 
 
 def tslice(a: Tensor, idx) -> Tensor:
@@ -310,26 +265,30 @@ def tslice(a: Tensor, idx) -> Tensor:
                and not isinstance(p, bool) for p in parts):
         raise GraphError(f"tslice takes basic indices only, got {idx!r}")
 
-    def bwd(g, a=a, idx=idx):
+    def grads(g):
         full = np.zeros_like(a.data)
         full[idx] = g
-        _acc(a, full)
+        return (full,)
 
-    return Tensor(a.data[idx], _parents=(a,), _backward=bwd)
+    return node(a.data[idx], (a,), grads)
 
 
 def einsum(spec: str, *operands: Tensor) -> Tensor:
     """np.einsum over explicit subscripts ('ij,jk->ik'); each operand's
     gradient is itself an einsum of the output gradient with the others.
 
-    Subscripts may not repeat within an operand and may not use '...'. An
-    index that appears in only one operand and not in the output is summed
-    there; its gradient is broadcast back along that index.
+    Subscripts may not repeat within an operand or within the output, may not
+    use '...', and every output index must come from an operand. An index
+    that appears in only one operand and not in the output is summed there;
+    its gradient is broadcast back along that index.
     """
     if "->" not in spec or "." in spec:
         raise GraphError(f"einsum needs explicit subscripts without '...', got '{spec}'")
     inputs, output = spec.split("->")
     subs = inputs.split(",")
+    if len(set(output)) != len(output) or not set(output) <= set("".join(subs)):
+        raise GraphError(f"einsum '{spec}': output subscripts '{output}' must be "
+                         f"distinct operand indices")
     if len(subs) != len(operands):
         raise DimensionError(f"einsum '{spec}' names {len(subs)} operands, "
                              f"got {len(operands)}")
@@ -339,9 +298,10 @@ def einsum(spec: str, *operands: Tensor) -> Tensor:
                                  f"do not fit shape {t.shape}")
     datas = [t.data for t in operands]
 
-    def bwd(g, operands=operands, subs=subs, output=output, datas=datas):
+    def grads(g):
         for i, t in enumerate(operands):
             if not t.requires_grad:
+                yield None
                 continue
             others = [s for j, s in enumerate(subs) if j != i]
             seen = set(output).union(*others)
@@ -352,9 +312,9 @@ def einsum(spec: str, *operands: Tensor) -> Tensor:
                 grad = np.broadcast_to(
                     grad.reshape([t.data.shape[k] if c in seen else 1
                                   for k, c in enumerate(subs[i])]), t.data.shape)
-            _acc(t, grad)
+            yield grad
 
-    return Tensor(np.einsum(spec, *datas), _parents=tuple(operands), _backward=bwd)
+    return node(np.einsum(spec, *datas), operands, grads)
 
 
 def backward(loss: Tensor) -> None:
@@ -362,9 +322,10 @@ def backward(loss: Tensor) -> None:
 
     The taped nodes that the loss reaches run once each, in reverse
     creation order: a node is made after its parents, so every node's
-    gradient is complete before its own backward reads it. Frozen
-    (requires_grad=False) leaves receive no accumulation; subgraphs with no
-    trainable leaves are skipped entirely.
+    gradient is complete before its map reads it. Every gradient a map
+    returns is accumulated here; frozen (requires_grad=False) leaves
+    receive none, and subgraphs with no trainable leaves are skipped
+    entirely.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -383,7 +344,11 @@ def backward(loss: Tensor) -> None:
     nodes.sort(key=_creation_order, reverse=True)
     for t in nodes:
         if t._backward is not None and t.grad is not None:
-            t._backward(t.grad)
+            for parent, grad in zip(t._parents, t._backward(t.grad)):
+                if grad is not None and parent.requires_grad:
+                    if grad.shape != parent.data.shape:
+                        grad = _unbroadcast(grad, parent.data.shape)
+                    parent.grad = grad if parent.grad is None else parent.grad + grad
 
 
 @dataclass

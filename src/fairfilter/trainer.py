@@ -234,6 +234,18 @@ def synergic_losses(model: Model, x: np.ndarray, y: np.ndarray,
     return dict(zip(LOSS_KEYS, (l_hate, l_dis, l_reg, l_imi, combined)))
 
 
+def _non_finite(model: Model) -> str:
+    """'group.tensor' for each group holding a NaN or an infinity, naming its
+    first such tensor, or 'none'. A gradient that went non-finite at one
+    step shows here at the next, through Adam's update."""
+    found = []
+    for name, group in model.groups.items():
+        bad = [k for k, t in group.tensors.items() if not np.all(np.isfinite(t.data))]
+        if bad:
+            found.append(f"{name}.{bad[0]}")
+    return ", ".join(found) or "none"
+
+
 def _run_phase(state: TrainState, x: np.ndarray, y: np.ndarray, epochs: int,
                rng: np.random.Generator, phase: str, trainable: tuple[str, ...],
                losses_of) -> None:
@@ -261,6 +273,7 @@ def _run_phase(state: TrainState, x: np.ndarray, y: np.ndarray, epochs: int,
                 stats = {"batch_size": len(batch), "labels_mean": float(np.mean(y[batch])),
                          "embedding_absmax": float(np.max(np.abs(x[batch])))}
                 raise DivergenceError(f"non-finite {PHASE_OBJECTIVES[phase]}; "
+                                      f"non-finite parameters: {_non_finite(model)}; "
                                       f"last batch: {json.dumps(stats)}")
             ad.backward(objective)
             for name in trainable:

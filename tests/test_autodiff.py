@@ -25,6 +25,30 @@ def fd_scalar(fn, x, eps=1e-6):
     return grad
 
 
+# every op of the tape, each built into a scalar of two (3, 3) inputs
+OPS = [
+    lambda a, b: a + b,
+    lambda a, b: a - b,
+    lambda a, b: a * b,
+    lambda a, b: a / (b * b + 1.0),
+    lambda a, b: ad.matmul(a, b),
+    lambda a, b: ad.relu(a - b),
+    lambda a, b: ad.sigmoid(a) * b,
+    lambda a, b: ad.node(np.tanh(a.data), (a,),
+                         lambda g: (g * (1.0 - np.tanh(a.data) ** 2),)) * b,
+    lambda a, b: ad.node(2.0 * np.sin(a.data), (a, b),
+                         lambda g: (g * 2.0 * np.cos(a.data), None)) + b,
+    lambda a, b: ad.einsum("ij->ji", a) + ad.einsum("ij->ji", b),
+    lambda a, b: ad.reshape(a, (1, 9)) + ad.reshape(b, (1, 9)),
+    lambda a, b: a[1:, :] * b[:2, :],
+    lambda a, b: a[::-1, None, 1] * b[..., 0],
+    lambda a, b: ad.einsum("ij,kl->ik", a, b),
+    lambda a, b: ad.tsum(a, axis=0, keepdims=True) * b + ad.tsum(b, axis=1),
+    lambda a, b: (ad.sigmoid(a + 800.0) + ad.sigmoid(a - 800.0)) * b,
+    lambda a, b: ad.einsum("ij,jk,ki->i", a, b, a),
+]
+
+
 class TestMlpForward:
     def test_identity_layer_passes_input_through(self):
         group = ParamGroup("m")
@@ -182,28 +206,13 @@ class TestBackward:
         assert not out.requires_grad
         assert out._parents == () and out._backward is None
 
-    @pytest.mark.parametrize("op", [
-        lambda a, b: a + b,
-        lambda a, b: a - b,
-        lambda a, b: a * b,
-        lambda a, b: a / (b * b + 1.0),
-        lambda a, b: ad.matmul(a, b),
-        lambda a, b: ad.relu(a - b),
-        lambda a, b: ad.sigmoid(a) * b,
-        lambda a, b: ad.node(np.tanh(a.data), (a,),
-                             lambda g: (g * (1.0 - np.tanh(a.data) ** 2),)) * b,
-        lambda a, b: ad.node(2.0 * np.sin(a.data), (a, b),
-                             lambda g: (g * 2.0 * np.cos(a.data), None)) + b,
-        lambda a, b: ad.einsum("ij->ji", a) + ad.einsum("ij->ji", b),
-        lambda a, b: ad.reshape(a, (1, 9)) + ad.reshape(b, (1, 9)),
-        lambda a, b: a[1:, :] * b[:2, :],
-        lambda a, b: a[::-1, None, 1] * b[..., 0],
-        lambda a, b: ad.einsum("ij,kl->ik", a, b),
-        lambda a, b: ad.tsum(a, axis=0, keepdims=True) * b + ad.tsum(b, axis=1),
-        lambda a, b: (ad.sigmoid(a + 800.0) + ad.sigmoid(a - 800.0)) * b,
-        lambda a, b: ad.einsum("ij,jk,ki->i", a, b, a),
-    ])
-    def test_op_grads_match_finite_differences(self, op):
+    @pytest.mark.parametrize("op, frozen", [
+        pytest.param(op, frozen, id=f"<lambda>{i}" + (f"-frozen-{frozen}" if frozen else ""))
+        for frozen in (None, "a", "b") for i, op in enumerate(OPS)])
+    def test_op_grads_match_finite_differences(self, op, frozen):
+        """A frozen input gets no gradient, and the live one still gets the
+        finite-difference gradient; the ids of the all-live cases are the
+        ones pytest gives a bare lambda."""
         rng = np.random.default_rng(7)
         a0 = rng.normal(size=(3, 3))
         b0 = rng.normal(size=(3, 3))
@@ -216,10 +225,13 @@ class TestBackward:
             b = Tensor(b_data)
             return ad.tsum(op(Tensor(a0), b)).item()
 
-        a = Tensor(a0.copy(), requires_grad=True)
-        b = Tensor(b0.copy(), requires_grad=True)
+        a = Tensor(a0.copy(), requires_grad=frozen != "a")
+        b = Tensor(b0.copy(), requires_grad=frozen != "b")
         ad.backward(ad.tsum(op(a, b)))
-        for t, fn in ((a, loss_given_a), (b, loss_given_b)):
+        for name, t, fn in (("a", a, loss_given_a), ("b", b, loss_given_b)):
+            if name == frozen:
+                assert t.grad is None
+                continue
             expected = fd_scalar(fn, t.data.copy())
             got = t.grad if t.grad is not None else np.zeros_like(t.data)
             np.testing.assert_allclose(got, expected, rtol=1e-6, atol=1e-8)
@@ -244,6 +256,10 @@ class TestBackward:
             ad.einsum("ijk->i", a)
         with pytest.raises(DimensionError):
             ad.einsum("ij,jk->ik", a)
+        with pytest.raises(GraphError, match="output subscripts"):
+            ad.einsum("ij->ijk", a)
+        with pytest.raises(GraphError, match="output subscripts"):
+            ad.einsum("ij->ii", a)
 
     def test_sigmoid_is_finite_and_exact_at_extreme_logits(self):
         x0 = np.asarray([-800.0, -30.0, -1.0, 0.0, 1.0, 30.0, 800.0])
@@ -288,7 +304,7 @@ class TestBackward:
 
         def counted(g):
             calls.append(t)
-            run(g)
+            return run(g)
 
         t._backward = counted
 

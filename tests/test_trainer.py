@@ -384,6 +384,52 @@ class TestLossNodes:
                 assert np.linalg.norm(node[1][name] - want) <= 1e-12 * np.linalg.norm(want)
 
 
+class TestTapeSize:
+    """Tensors one training step builds at the bench's train-d48 shapes (d_in
+    24, hidden 48, hyper_hidden 32, head_hidden 48, 6 targets, rank 1, depth
+    1, a batch of 128), forward and backward: that workload's step is bound
+    by the tape, so its size is pinned here."""
+
+    @pytest.fixture
+    def d48(self):
+        names = tuple(f"t{i}" for i in range(6))
+        rng = np.random.default_rng(0)
+        model = Model(tiny_config(hidden_dim=48, hyper_hidden=32, head_hidden=48,
+                                  rank=1, depth=1, batch_size=128),
+                      d_in=24, indicator_dim=24, seen_targets=list(names),
+                      indicators={t: rng.normal(size=24) for t in names})
+        return model, seen_rows(model, tiny_records(128, targets=names, d_in=24))
+
+    @staticmethod
+    def tensors_built(monkeypatch, model, trainable, losses_of):
+        for name, group in model.groups.items():
+            (group.unfreeze if name in trainable else group.freeze)()
+        built = []
+        init = ad.Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(ad.Tensor, "__init__", counting)
+            *_, objective = losses_of().values()
+            ad.backward(objective)
+        return len(built)
+
+    def test_filter_step(self, d48, monkeypatch):
+        model, (x, y, members) = d48
+        assert self.tensors_built(monkeypatch, model, ("enc", "hyper", "hate"),
+                                  lambda: trainer.synergic_losses(model, x, y, members)) <= 41
+
+    def test_discriminator_step(self, d48, monkeypatch):
+        model, (x, _, members) = d48
+        s_tilde = next(model.embed(x, members, model.seen_indicators))[1]
+        assert self.tensors_built(monkeypatch, model, ("dis",),
+                                  lambda: trainer.discriminator_losses(
+                                      model, s_tilde, members)) <= 6
+
+
 class TestPhases:
     def test_filter_phase_leaves_discriminator_bit_identical(self):
         model = tiny_model()
@@ -446,6 +492,7 @@ class TestPhases:
         with pytest.raises(DivergenceError, match="discriminator loss") as err:
             trainer.phase_discriminator(state, seen_rows(model, records), epochs=1,
                                         rng=np.random.default_rng(0))
+        assert "non-finite parameters: dis.W2;" in str(err.value)
         assert_names_the_batch(err.value, records)
 
     def test_filter_phase_reads_tabulated_rows(self, monkeypatch):
@@ -482,6 +529,7 @@ class TestPhases:
         with pytest.raises(DivergenceError, match="synergic loss") as err:
             trainer.phase_filter(state, seen_rows(model, records), epochs=1,
                                  rng=np.random.default_rng(0))
+        assert "non-finite parameters: hate.W2;" in str(err.value)
         assert_names_the_batch(err.value, records)
 
 
