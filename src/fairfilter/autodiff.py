@@ -4,13 +4,13 @@ Leaves come from `Tensor`: parameters (`ParamGroup.add`) and constants.
 Every other tensor is a node, and every node comes from one call,
 `node(value, inputs, grads)`: its value, the tensors it reads, and a map
 from the value's gradient to one gradient per input. `backward` runs the
-maps and does all accumulation. The ops here are such calls: matmul,
-einsum, broadcasting arithmetic, ReLU/sigmoid, sums, basic indexing,
-reshape, and `dense`, one node per affine layer (x W + b, optionally
-ReLU'd), which `mlp_forward` runs for every layer. The loss terms in
-`objectives` are built the same way, each one node with a closed-form
-map. `logistic` holds the overflow-free softplus and sigmoid numerics
-they share with `sigmoid`.
+maps and does all accumulation. The ops here are the ones a fit or a
+prediction reaches, each such a call: matmul, einsum, broadcasting add and
+mul, ReLU, basic indexing, reshape, and `dense`, one node per affine layer
+(x W + b, optionally ReLU'd), which `mlp_forward` runs for every layer. The
+loss terms in `objectives` are built the same way, each one node with a
+closed-form map. `logistic` holds the overflow-free softplus and sigmoid
+numerics that the losses and `Model.predict` read.
 
 An embedding of low rank can travel as a factored pair (rows, basis)
 that stands for rows·basis: `factored` keeps the pair when the basis has
@@ -89,17 +89,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
     def __mul__(self, other):
         return mul(self, _wrap(other))
 
     def __rmul__(self, other):
         return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
 
     def __getitem__(self, idx):
         return tslice(self, idx)
@@ -147,17 +141,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return node(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return node(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return node(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    return node(a.data / b.data, (a, b),
-                lambda g: (g / b.data, -g * a.data / (b.data * b.data)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -239,18 +224,6 @@ def logistic(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     e = np.exp(-np.abs(x))
     inv = 1.0 / (1.0 + e)
     return np.maximum(x, 0.0) + np.log1p(e), np.where(x >= 0, inv, e * inv), e * inv * inv
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    """Logistic function (`logistic`)."""
-    _, out, slope = logistic(a.data)
-    return node(out, (a,), lambda g: (g * slope,))
-
-
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    return node(a.data.sum(axis=axis, keepdims=keepdims), (a,),
-                lambda g: (np.broadcast_to(g if axis is None or keepdims
-                                           else np.expand_dims(g, axis), a.data.shape),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -27,7 +27,7 @@ from .embeddings import load_word_vectors, save_word_vectors, tokenize_target
 from .errors import ConfigError, DataError, FairFilterError, utf8_or
 from .metrics import build_report
 from .trainer import (checkpoint_load, checkpoint_save, eval_indicators, fit,
-                      resolve_indicators, write_telemetry)
+                      resolve_indicators, write_events)
 
 
 def _sha256(path) -> str:
@@ -102,11 +102,8 @@ def synth(spec_file, out, vectors_out):
     outputs = [out]
     if vectors_out:
         indicators = synth_indicators(spec)
-        vectors = {}
-        for name in spec.target_names:
-            for token in tokenize_target(name):
-                vectors[token] = indicators[name]
-        save_word_vectors(vectors, vectors_out)
+        save_word_vectors({token: indicators[name] for name in spec.target_names
+                           for token in tokenize_target(name)}, vectors_out)
         outputs.append(vectors_out)
     manifest_path = str(out) + ".manifest.json"
     _write_manifest(manifest_path, "synth",
@@ -141,16 +138,12 @@ def train(config_file, corpus, vectors, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "checkpoint.npz"
     checkpoint_save(state.model, ckpt)
-    write_telemetry(state, out / "training_log.csv")
-    save_json({"epochs": state.history, "validation": state.val_history,
-               "best_round": state.best_round, "best_composite": state.best_composite},
-              out / "history.json")
+    write_events(state, out / "events.jsonl")
     save_json(split.manifest(), out / "split_manifest.json")
     _write_manifest(out / "manifest.json", "train",
                     {"train": vars(config), "split": vars(split_spec)},
                     [config_file, corpus, vectors],
-                    [ckpt, out / "training_log.csv", out / "history.json",
-                     out / "split_manifest.json"],
+                    [ckpt, out / "events.jsonl", out / "split_manifest.json"],
                     seed=config.seed, warnings=warn)
     click.echo(f"best round {state.best_round}, checkpoint at {ckpt}")
 

@@ -135,6 +135,8 @@ class SyntheticSpec:
         for t, rate in self.label_rates.items():
             if not 0.0 < rate < 1.0:
                 raise ConfigError(f"label rate for '{t}' must lie in (0, 1), got {rate}")
+        if not np.all(np.isfinite([self.signal_scale, self.bias_scale, self.noise])):
+            raise ConfigError("signal_scale, bias_scale and noise must be finite")
         if self.signal_scale <= 0:
             raise ConfigError("signal_scale must be > 0")
         if self.bias_scale < 0 or self.noise < 0:

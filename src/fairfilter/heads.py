@@ -1,7 +1,7 @@
 """The two prediction heads: multi-label target discriminator and binary
 hate-speech classifier. Both are 3-affine-layer MLPs that return logits; the
 losses take logits directly (binary cross-entropy with logits), and
-`ad.sigmoid` turns a logit into a probability where one is needed.
+`ad.logistic` turns a logit into a probability where one is needed.
 
 A head reads an (n, d) embedding either as a tensor or as the factored pair
 (rows, basis) that the adapter and the filter return when the basis has

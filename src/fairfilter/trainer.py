@@ -10,9 +10,11 @@ Rounds continue until the round cap or until the validation composite
 sorted seen targets, the one target axis of the indicator stack, filters,
 mixing rows, discriminator outputs and Gram matrices. Both phases run one
 loop, `_run_phase`, which minibatches those rows, sets the freeze state,
-steps Adam on the phase's trainable groups and records telemetry; a phase
-is the groups it trains plus its loss function (`discriminator_losses` or
-`synergic_losses`, which the gradient suite checks directly).
+steps Adam on the phase's trainable groups and logs a step event per step
+and an epoch event per epoch; a phase is the groups it trains plus its loss
+function (`discriminator_losses` or `synergic_losses`, which the gradient
+suite checks directly). `TrainState.events` is a fit's one log: step, epoch,
+validation and a closing best event, which `write_events` writes as JSONL.
 
 `Model.embed` is the one no-tape embedding path, over rows: `Model.predict`
 tabulates posts on their own sorted targets and reads it, and the
@@ -28,7 +30,6 @@ training, scoring (through `eval_indicators`) and filter export alike.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import zipfile
@@ -175,7 +176,7 @@ class Model:
         x, _, targets = tabulate(records, names)
         stack = np.stack([indicators[t] for t in names])
         with ad.no_grad():
-            scores = [ad.sigmoid(self.classifier.forward(_constants(s_tilde))).data
+            scores = [ad.logistic(self.classifier.forward(_constants(s_tilde)).data)[1]
                       for _, s_tilde in self.embed(x, targets, stack)]
         return np.concatenate(scores).reshape(-1)
 
@@ -200,9 +201,20 @@ class TrainState:
     best_composite: float = -np.inf
     best_round: int = -1
     best_params: dict[str, dict[str, np.ndarray]] | None = None
-    history: list[dict] = field(default_factory=list)
-    val_history: list[dict] = field(default_factory=list)
-    telemetry: list[dict] = field(default_factory=list)
+    events: list[dict] = field(default_factory=list)  # flat dicts; "event" names the kind
+
+    # read-only views for bench/run.py, retired when the benchmark reads
+    # `events` (ROADMAP item 8)
+    @property
+    def telemetry(self) -> list[dict]:
+        """The step events."""
+        return [e for e in self.events if e["event"] == "step"]
+
+    @property
+    def history(self) -> list[dict]:
+        """The epoch events without their "event" key."""
+        return [{k: v for k, v in e.items() if k != "event"}
+                for e in self.events if e["event"] == "epoch"]
 
 
 def discriminator_losses(model: Model, s_tilde: np.ndarray | tuple[np.ndarray, np.ndarray],
@@ -253,8 +265,9 @@ def _run_phase(state: TrainState, x: np.ndarray, y: np.ndarray, epochs: int,
     a phase's tabulated embedding rows x and labels y.
 
     Every other group is frozen. Each step backpropagates the last loss that
-    `losses_of(batch)` returns for the batch's row indices and appends a
-    telemetry row; each epoch appends the loss means to the history.
+    `losses_of(batch)` returns for the batch's row indices and logs a step
+    event, with None for each LOSS_KEYS loss the phase does not compute;
+    each epoch logs an epoch event with the means of the losses it did.
     """
     model = state.model
     for name, group in model.groups.items():
@@ -263,7 +276,7 @@ def _run_phase(state: TrainState, x: np.ndarray, y: np.ndarray, epochs: int,
         else:
             group.freeze()
     for epoch in range(epochs):
-        first = len(state.telemetry)
+        first = len(state.events)
         order = rng.permutation(len(x))
         for start in range(0, len(x), model.config.batch_size):
             batch = order[start:start + model.config.batch_size]
@@ -279,13 +292,13 @@ def _run_phase(state: TrainState, x: np.ndarray, y: np.ndarray, epochs: int,
             for name in trainable:
                 ad.adam_step(model.groups[name], state.adam[name])
             state.global_step += 1
-            state.telemetry.append({
-                "step": state.global_step, "phase": phase,
-                **{k: losses[k].item() if k in losses else "" for k in LOSS_KEYS}})
-        rows = state.telemetry[first:]
-        state.history.append({
-            "round": state.round, "phase": phase, "epoch": epoch,
-            **{k: float(np.mean([row[k] for row in rows])) for k in losses}})
+            state.events.append({
+                "event": "step", "step": state.global_step, "phase": phase,
+                **{k: losses[k].item() if k in losses else None for k in LOSS_KEYS}})
+        steps = state.events[first:]
+        state.events.append({
+            "event": "epoch", "round": state.round, "phase": phase, "epoch": epoch,
+            **{k: float(np.mean([e[k] for e in steps])) for k in losses}})
 
 
 def phase_discriminator(state: TrainState, rows: tuple[np.ndarray, ...],
@@ -320,11 +333,6 @@ def _snapshot(model: Model) -> dict[str, dict[str, np.ndarray]]:
     return {name: group.state_dict() for name, group in model.groups.items()}
 
 
-def _restore(model: Model, snapshot: dict[str, dict[str, np.ndarray]]) -> None:
-    for name, group in model.groups.items():
-        group.load_state_dict(snapshot[name])
-
-
 def fit(config: TrainConfig, split: CorpusSplit,
         indicators: dict[str, np.ndarray]) -> TrainState:
     """Run the full alternating optimization and return the best snapshot.
@@ -347,11 +355,9 @@ def fit(config: TrainConfig, split: CorpusSplit,
     missing = sorted({t for r in split.validation for t in r.targets} - indicators.keys())
     if missing:
         raise ConfigError(f"no indicator for validation targets {missing}")
-    adam = {"dis": AdamState(lr=config.lr_dis),
-            "enc": AdamState(lr=config.lr),
-            "hyper": AdamState(lr=config.lr),
-            "hate": AdamState(lr=config.lr)}
-    state = TrainState(model=model, adam=adam)
+    state = TrainState(model=model, adam={
+        name: AdamState(lr=config.lr_dis if name == "dis" else config.lr)
+        for name in model.groups})
     rng = np.random.default_rng(config.seed + 1)
 
     rounds_since_best = 0
@@ -364,9 +370,9 @@ def fit(config: TrainConfig, split: CorpusSplit,
             scores = model.predict(split.validation, indicators)
             report = build_report(scores, split.validation, threshold=config.threshold)
             composite = report.f1 - report.hf
-            state.val_history.append({
-                "round": round_no, "val_f1": report.f1, "val_hf": report.hf,
-                "val_accuracy": report.accuracy, "composite": composite})
+            state.events.append({
+                "event": "validation", "round": round_no, "val_f1": report.f1,
+                "val_hf": report.hf, "val_accuracy": report.accuracy, "composite": composite})
             if composite > state.best_composite:
                 state.best_composite = composite
                 state.best_round = round_no
@@ -377,22 +383,22 @@ def fit(config: TrainConfig, split: CorpusSplit,
             if rounds_since_best > config.patience:
                 break
 
-    if state.best_params is not None:
-        _restore(model, state.best_params)
-    else:
-        state.best_params = _snapshot(model)
-        state.best_round = state.round
-    for group in model.groups.values():
+    if state.best_params is None:
+        state.best_params, state.best_round = _snapshot(model), state.round
+    for name, group in model.groups.items():
+        group.load_state_dict(state.best_params[name])
         group.unfreeze()
+    state.events.append({"event": "best", "round": state.best_round, "composite":
+                         None if state.best_composite == -np.inf else state.best_composite})
     return state
 
 
-def write_telemetry(state: TrainState, path) -> None:
-    fields = ["step", "phase", *LOSS_KEYS]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(state.telemetry)
+def write_events(state: TrainState, path) -> None:
+    """`state.events` as JSONL: one key-sorted object per line, with no NaN
+    or Infinity token (a non-finite value raises ValueError)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(e, sort_keys=True, allow_nan=False) + "\n"
+                      for e in state.events)
 
 
 def checkpoint_save(model: Model, path) -> None:

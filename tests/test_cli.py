@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from strict_json import strict_load
 from fairfilter.cli import main
 from fairfilter.data import load_jsonl
 from fairfilter.objectives import loss_reg
@@ -112,12 +113,25 @@ class TestSynth:
         assert "synth.targets" in res.stderr
 
 
+    @pytest.mark.parametrize("line", ["synth.noise = inf", "synth.signal_scale = inf",
+                                      "synth.bias_scale = nan"])
+    def test_non_finite_scale_exits_2_before_writing(self, tmp_path, runner, line):
+        spec = text_file(tmp_path, "s.cfg", with_line(SYNTH_SPEC, line))
+        res = runner.invoke(main, ["synth", str(spec), "-o", str(tmp_path / "c.jsonl"),
+                                   "--vectors-out", str(tmp_path / "v.txt")])
+        assert res.exit_code == 2, res.output
+        assert "must be finite" in res.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.cfg"]
+
+
 class TestTrain:
     def test_outputs_present(self, workspace):
         run = workspace / "run"
-        for name in ("checkpoint.npz", "training_log.csv", "history.json",
-                     "split_manifest.json", "manifest.json"):
-            assert (run / name).exists(), name
+        assert sorted(p.name for p in run.iterdir()) == [
+            "checkpoint.npz", "events.jsonl", "manifest.json", "split_manifest.json"]
+        assert strict_load(run / "manifest.json")["outputs"] == [
+            str(run / name) for name in ("checkpoint.npz", "events.jsonl",
+                                         "split_manifest.json")]
 
     def test_split_manifest_excludes_unseen_from_train(self, workspace):
         manifest = json.loads((workspace / "run" / "split_manifest.json").read_text())
@@ -127,10 +141,12 @@ class TestTrain:
         assert any("gamma" in records[rid].targets for rid in manifest["test"])
 
     def test_history_epoch_count(self, workspace):
-        history = json.loads((workspace / "run" / "history.json").read_text())
+        events = strict_load(workspace / "run" / "events.jsonl")
+        kinds = [e["event"] for e in events]
         # 1 round x (1 dis + 1 filter epoch)
-        assert len(history["epochs"]) == 2
-        assert len(history["validation"]) == 1
+        assert kinds.count("epoch") == 2
+        assert kinds.count("validation") == 1
+        assert kinds[-1] == "best"
 
     def test_corrupt_corpus_exits_3(self, workspace, runner, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -168,6 +184,45 @@ class TestTrain:
                                    str(workspace / "vectors.txt"),
                                    "-o", str(tmp_path / "r")])
         assert res.exit_code == 2
+
+
+class TestStrictJson:
+    """Every JSON file a command writes parses with NaN and Infinity refused."""
+
+    def test_every_json_output_is_strict(self, workspace, runner):
+        ws = workspace
+        commands = [eval_args(ws), ["metrics", str(ws / "e" / "predictions.csv"),
+                                    str(ws / "corpus.jsonl"), "-o", str(ws / "m.json")],
+                    ["export-filters", str(ws / "run" / "checkpoint.npz"),
+                     str(ws / "vectors.txt"), "alpha", "gamma", "-o", str(ws / "f.json")]]
+        for args in commands:
+            res = runner.invoke(main, args)
+            assert res.exit_code == 0, res.output
+        written = {p.relative_to(ws).as_posix() for p in ws.rglob("*")
+                   if p.suffix in (".json", ".jsonl")}
+        assert written == {
+            "corpus.jsonl", "corpus.jsonl.manifest.json", "run/manifest.json",
+            "run/split_manifest.json", "run/events.jsonl", "e/manifest.json",
+            "e/report.json", "m.json", "m.json.manifest.json", "f.json",
+            "f.json.manifest.json"}
+        for name in sorted(written):
+            assert strict_load(ws / name), name
+
+    def test_train_without_validation_posts_is_strict(self, tmp_path, runner):
+        # of 40 posts one is drawn for validation, and balancing its classes drops it
+        spec = text_file(tmp_path, "s.cfg", with_line(SYNTH_SPEC, "synth.n_posts = 40"))
+        cfg = text_file(tmp_path, "t.cfg",
+                        with_line(TRAIN_CFG, "split.validation_fraction = 0.05"))
+        corpus, vectors, run = tmp_path / "c.jsonl", tmp_path / "v.txt", tmp_path / "run"
+        for args in (["synth", str(spec), "-o", str(corpus), "--vectors-out", str(vectors)],
+                     ["train", str(cfg), str(corpus), str(vectors), "-o", str(run)]):
+            res = runner.invoke(main, args)
+            assert res.exit_code == 0, res.output
+        assert strict_load(run / "split_manifest.json")["validation"] == []
+        events = strict_load(run / "events.jsonl")
+        assert "validation" not in [e["event"] for e in events]
+        assert events[-1] == {"event": "best", "round": 0, "composite": None}
+        assert strict_load(run / "manifest.json")["command"] == "train"
 
 
 class TestEval:

@@ -230,6 +230,13 @@ class TestSynthGenerate:
         with pytest.raises(ConfigError, match="seed"):
             small_spec(seed=-1).validate()
 
+    @pytest.mark.parametrize("field", ["signal_scale", "bias_scale", "noise"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_scale_rejected(self, field, value):
+        # nan passes both `<= 0` and `< 0`, and inf writes Infinity embeddings
+        with pytest.raises(ConfigError, match="must be finite"):
+            small_spec(**{field: value}).validate()
+
     def test_target_named_twice_rejected(self):
         # counted twice, "a" would weigh double in the post's rate and embedding
         with pytest.raises(ConfigError, match=r"more than once: \['a'\]"):

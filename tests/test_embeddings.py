@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from composed_losses import tsum
 from fairfilter import autodiff as ad
 from fairfilter import embeddings as emb
 from fairfilter.errors import DataError
@@ -131,7 +132,7 @@ class TestEncoderAdapter:
     def test_gradients_reach_adapter_weights(self):
         adapter = emb.EncoderAdapter(5, 3, np.random.default_rng(0), depth=2)
         out = adapter.encode(ad.constant(np.random.default_rng(1).normal(size=(4, 5))))
-        ad.backward(ad.tsum(out * out))
+        ad.backward(tsum(out * out))
         for name, tensor in adapter.group.tensors.items():
             assert tensor.grad is not None, name
             assert np.any(tensor.grad != 0.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import composed_losses
+from strict_json import strict_load
 from fairfilter import autodiff as ad
 from fairfilter import data, metrics, trainer
 from fairfilter.data import CorpusSplit, PostRecord
@@ -73,6 +74,11 @@ def taped_filter_batch(model, records):
 def multiplied(x):
     """The dense (n, d) embeddings of a tensor or of a (rows, basis) pair."""
     return ad.unfactored(x).data
+
+
+def events_of(state, kind):
+    """The events of one kind, in log order."""
+    return [e for e in state.events if e["event"] == kind]
 
 
 def assert_names_the_batch(error, records):
@@ -537,11 +543,12 @@ class TestFit:
     def test_history_bookkeeping(self):
         cfg = tiny_config(max_rounds=2, n_dis=1, n_filter=2)
         state = trainer.fit(cfg, tiny_split(), tiny_indicators())
+        epochs = events_of(state, "epoch")
         # 2 rounds x (1 dis epoch + 2 filter epochs)
-        assert len(state.history) == 2 * 3
-        phases = [h["phase"] for h in state.history]
+        assert len(epochs) == 2 * 3
+        phases = [e["phase"] for e in epochs]
         assert phases == ["dis", "filter", "filter"] * 2
-        assert len(state.val_history) == 2
+        assert len(events_of(state, "validation")) == 2
         assert state.best_round in (0, 1)
 
     def test_determinism(self):
@@ -551,7 +558,7 @@ class TestFit:
             other = s2.model.groups[name]
             for k, t in group.tensors.items():
                 assert t.data.tobytes() == other.tensors[k].data.tobytes()
-        assert s1.history == s2.history
+        assert s1.events == s2.events
 
     def test_all_groups_unfrozen_after_fit(self):
         state = trainer.fit(tiny_config(), tiny_split(), tiny_indicators())
@@ -598,16 +605,75 @@ class TestFit:
         state = trainer.fit(tiny_config(max_rounds=3), split, tiny_indicators())
         assert [r is split.train for r in tabulated].count(True) == 1
         # the rest is validation, scored once per round
-        assert len(tabulated) == 1 + len(state.val_history) == 4
+        assert len(tabulated) == 1 + len(events_of(state, "validation")) == 4
 
-    def test_telemetry_csv(self, tmp_path):
-        state = trainer.fit(tiny_config(max_rounds=1), tiny_split(),
-                            tiny_indicators())
-        path = tmp_path / "log.csv"
-        trainer.write_telemetry(state, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "step,phase,l_hate,l_dis,l_reg,l_imi,synergic"
-        assert len(lines) == 1 + len(state.telemetry)
+
+class TestEvents:
+    """`TrainState.events`, a fit's one log, and its JSONL form."""
+
+    @pytest.fixture(scope="class")
+    def state(self):
+        return trainer.fit(tiny_config(max_rounds=3, n_dis=2, n_filter=2),
+                           tiny_split(), tiny_indicators())
+
+    def test_step_events_number_every_step_in_order(self, state):
+        steps = events_of(state, "step")
+        assert [e["step"] for e in steps] == list(range(1, state.global_step + 1))
+        assert state.global_step == 3 * (2 + 2) * 2  # rounds x epochs x batches
+        for e in steps:
+            assert set(e) == {"event", "step", "phase", *trainer.LOSS_KEYS}
+            # a loss the phase does not compute is None
+            computed = {k for k in trainer.LOSS_KEYS if e[k] is not None}
+            assert computed == ({"l_dis"} if e["phase"] == "dis" else set(trainer.LOSS_KEYS))
+
+    def test_epoch_means_equal_the_mean_of_their_steps(self, state):
+        steps = []
+        for e in state.events:
+            if e["event"] == "step":
+                steps.append(e)
+            elif e["event"] == "epoch":
+                assert {s["phase"] for s in steps} == {e["phase"]}
+                computed = [k for k in trainer.LOSS_KEYS if steps[0][k] is not None]
+                assert list(e) == ["event", "round", "phase", "epoch", *computed]
+                for k in computed:
+                    assert e[k] == np.mean([s[k] for s in steps])
+                steps = []
+        assert not steps
+        assert [(e["round"], e["phase"], e["epoch"]) for e in events_of(state, "epoch")] \
+            == [(r, p, i) for r in range(3) for p in ("dis", "filter") for i in range(2)]
+
+    def test_one_validation_event_per_round(self, state):
+        validations = events_of(state, "validation")
+        assert [e["round"] for e in validations] == [0, 1, 2]
+        for e in validations:
+            assert e["composite"] == e["val_f1"] - e["val_hf"]
+            assert 0.0 <= e["val_accuracy"] <= 1.0
+
+    def test_best_event_closes_the_log(self, state):
+        best = state.events[-1]
+        assert events_of(state, "best") == [best]
+        assert best["round"] == state.best_round
+        assert best["composite"] == max(e["composite"] for e in events_of(state, "validation"))
+
+    def test_best_composite_is_none_without_validation(self):
+        split = tiny_split()
+        split.validation = []
+        state = trainer.fit(tiny_config(), split, tiny_indicators())
+        assert not events_of(state, "validation")
+        assert state.events[-1] == {"event": "best", "round": 1, "composite": None}
+
+    def test_bench_views_derive_from_the_events(self, state):
+        assert state.telemetry == events_of(state, "step")
+        assert state.history == [{k: v for k, v in e.items() if k != "event"}
+                                 for e in events_of(state, "epoch")]
+        assert list(state.history[0]) == ["round", "phase", "epoch", "l_dis"]
+
+    def test_write_events_round_trips(self, state, tmp_path):
+        path = tmp_path / "events.jsonl"
+        trainer.write_events(state, path)
+        assert strict_load(path) == state.events
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert all(list(e) == sorted(e) for e in map(json.loads, lines))
 
 
 class TestCheckpoint:
