@@ -129,6 +129,9 @@ def train(config_file, corpus, vectors, out_dir):
     split_spec = split_spec_from(kv, corpus_targets)
     split = make_split(records, split_spec)
     resolved, warn = _resolve(sorted(corpus_targets), load_word_vectors(vectors))
+    if not split.validation:
+        warn.append("the validation split is empty, so early stopping and the choice "
+                    "of best round are off: the last round's parameters are kept")
     for message in warn:
         click.echo(f"warning: {message}", err=True)
 
@@ -157,6 +160,9 @@ def _select_records(corpus, split_manifest, split_name):
             manifest = json.load(fh)
         except ValueError as exc:
             raise DataError(f"split manifest '{split_manifest}' is not JSON: {exc}") from None
+        except RecursionError:
+            raise DataError(f"split manifest '{split_manifest}' is JSON nested too deeply"
+                            ) from None
     if not isinstance(manifest, dict):
         raise DataError(f"split manifest '{split_manifest}' is not a JSON object")
     if split_name not in manifest:
@@ -276,22 +282,26 @@ def metrics_cmd(predictions, corpus, out, threshold):
     with open(predictions, "r", encoding="utf-8", newline="") as fh, \
             utf8_or(DataError, predictions):
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "id" not in reader.fieldnames \
-                or "score" not in reader.fieldnames:
-            raise DataError(f"'{predictions}' is not an id,score,label CSV")
-        for row in reader:
-            try:
-                score = float(row["score"])
-            except (TypeError, ValueError):
-                raise DataError(f"'{predictions}' line {reader.line_num}: "
-                                f"score {row['score']!r} is not a number") from None
-            if not np.isfinite(score):
-                raise DataError(f"'{predictions}' line {reader.line_num}: "
-                                f"score {row['score']!r} is not finite")
-            if row["id"] in scores:
-                raise DataError(f"'{predictions}' line {reader.line_num}: "
-                                f"duplicate id '{row['id']}'")
-            scores[row["id"]] = score
+        try:
+            if reader.fieldnames is None or "id" not in reader.fieldnames \
+                    or "score" not in reader.fieldnames:
+                raise DataError(f"'{predictions}' is not an id,score,label CSV")
+            for row in reader:
+                try:
+                    score = float(row["score"])
+                except (TypeError, ValueError):
+                    raise DataError(f"'{predictions}' line {reader.line_num}: "
+                                    f"score {row['score']!r} is not a number") from None
+                if not np.isfinite(score):
+                    raise DataError(f"'{predictions}' line {reader.line_num}: "
+                                    f"score {row['score']!r} is not finite")
+                if row["id"] in scores:
+                    raise DataError(f"'{predictions}' line {reader.line_num}: "
+                                    f"duplicate id '{row['id']}'")
+                scores[row["id"]] = score
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            # line_num counts the lines read whole; the error is in the next
+            raise DataError(f"'{predictions}' line {reader.line_num + 1}: {exc}") from None
     if not scores:
         raise DataError(f"predictions file '{predictions}' is empty")
     records = select_records(load_jsonl(corpus), scores, "prediction")

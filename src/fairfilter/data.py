@@ -206,6 +206,8 @@ def load_jsonl(path) -> list[PostRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"line {line_no}: malformed JSON ({exc.msg})") from None
+            except RecursionError:
+                raise DataError(f"line {line_no}: JSON nested too deeply") from None
             record = _parse_record(obj, line_no)
             if record.id in seen_ids:
                 raise DataError(f"line {line_no}: duplicate id '{record.id}'")

@@ -2,7 +2,8 @@
 
 All batch losses are means over posts so that coefficient defaults transfer
 across batch sizes; the gap-alignment term is a pure sum over unordered
-target pairs. Targets are positions in the caller's order, never names.
+target pairs against indicator cosines formed once per model (`gap_constants`).
+Targets are positions in the caller's order, never names.
 
 Each term is one tape node with a closed-form backward (`ad.node`), and so
 is their synergic sum. A value is computed with the numpy operations, in
@@ -11,8 +12,6 @@ is bitwise the same; the gradients agree with that form to rounding.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -47,15 +46,10 @@ def loss_dis(logits: Tensor, p: np.ndarray) -> Tensor:
     return _bce(logits, p)
 
 
-@functools.lru_cache(maxsize=16)
-def _gap_constants(stack: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The indicator cosines, the upper-triangle pair mask and the identity
-    for the (n, k) float64 indicator stack whose bytes are `stack`.
-
-    A model trains against one fixed stack, so these are formed once rather
-    than at every step; the result depends on the bytes alone and is
-    read-only, so every caller may share it.
-    """
+def gap_constants(indicators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`loss_reg`'s constants for a (T, indicator_dim) indicator stack, which
+    a model forms once (`trainer.Model.gap_constants`): the (T, T) cosines of
+    its rows, each scaled by its own norm, and the upper-triangle pair mask."""
 
     def unit(vec: np.ndarray, row: int) -> np.ndarray:
         norm = np.linalg.norm(vec)
@@ -63,35 +57,30 @@ def _gap_constants(stack: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.nda
             raise GraphError(f"degenerate cosine: zero-norm indicator in row {row}")
         return vec / norm
 
-    indicators = np.frombuffer(stack).reshape(n, -1)
     units = np.stack([unit(vec, row) for row, vec in enumerate(indicators)])
-    constants = (units @ units.T, np.triu(np.ones((n, n)), k=1), np.eye(n))
-    for array in constants:
-        array.flags.writeable = False
-    return constants
+    n = len(units)
+    return units @ units.T, np.triu(np.ones((n, n)), k=1)
 
 
-def loss_reg(indicators: np.ndarray, grams: list[Tensor]) -> Tensor:
+def loss_reg(constants: tuple[np.ndarray, np.ndarray], grams: list[Tensor]) -> Tensor:
     """Semantic gap alignment over unordered pairs of training targets.
 
     For every pair, the squared difference between the indicators' cosine and
     the flattened filter parameters' cosine, summed over filter layers.
-    Row t of the (T, indicator_dim) stack `indicators` is row and column t
-    of each layer's filter Gram matrix `grams[l]` (`hyperfilter.filter_gram`).
+    Target t is row and column t of each layer's filter Gram matrix `grams[l]`
+    (`hyperfilter.filter_gram`) and of `constants`, from `gap_constants`.
     A cosine is G_ab / sqrt(G_aa G_bb); one node covers every layer.
     """
-    n = len(indicators)
+    ind_cos, pairs = constants
+    n = len(ind_cos)
     if n < 2:
         raise ConfigError("gap alignment needs at least two training targets")
     if any(g.data.shape != (n, n) for g in grams):
         raise DimensionError(f"gap alignment: every Gram matrix must be ({n}, {n})")
-    ind_cos, pairs, eye = _gap_constants(
-        np.ascontiguousarray(indicators, dtype=np.float64).tobytes(), n)
-
     total = 0.0
     layers = []
     for gram in grams:
-        sq_norms = (gram.data * eye).sum(axis=1)
+        sq_norms = np.diagonal(gram.data)
         if np.any(sq_norms == 0.0):
             raise GraphError("degenerate cosine: zero-norm filter parameters")
         root = np.sqrt(sq_norms.reshape(n, 1) * sq_norms.reshape(1, n))

@@ -30,6 +30,7 @@ training, scoring (through `eval_indicators`) and filter export alike.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import zipfile
@@ -129,6 +130,11 @@ class Model:
         self.discriminator = DiscriminatorHead(d, len(seen_targets), rng,
                                                hidden=config.head_hidden)
         self.classifier = ClassifierHead(d, rng, hidden=config.head_hidden)
+
+    @functools.cached_property
+    def gap_constants(self) -> tuple[np.ndarray, np.ndarray]:
+        """`objectives.gap_constants` of the fixed seen indicators, on first use."""
+        return obj.gap_constants(self.seen_indicators)
 
     @property
     def groups(self) -> dict[str, ParamGroup]:
@@ -239,7 +245,7 @@ def synergic_losses(model: Model, x: np.ndarray, y: np.ndarray,
     l_dis = obj.loss_dis(model.discriminator.forward(s_tilde), targets)
     l_imi = obj.loss_imi(z, z_prime)
     if cfg.mu > 0 and len(model.seen_targets) >= 2:
-        l_reg = obj.loss_reg(model.seen_indicators, hf.filter_gram(factors))
+        l_reg = obj.loss_reg(model.gap_constants, hf.filter_gram(factors))
     else:
         l_reg = ad.constant(0.0)
     combined = obj.synergic(l_hate, l_dis, l_reg, l_imi, cfg.lam, cfg.gamma, cfg.mu)
@@ -457,7 +463,7 @@ def checkpoint_load(path) -> Model:
                 group.load_state_dict({k: arrays[key] for k, key in keys.items()
                                        if key in arrays})
     except (OSError, EOFError, zipfile.BadZipFile, AttributeError, KeyError,
-            TypeError, ValueError, ConfigError, DimensionError) as exc:
+            TypeError, ValueError, RecursionError, ConfigError, DimensionError) as exc:
         raise CheckpointError(f"cannot load checkpoint '{path}': "
                               f"{type(exc).__name__}: {exc}") from None
     return model

@@ -1,5 +1,6 @@
 """The loss terms of `objectives` written out as separate tape ops, as
-references for its one-node losses.
+references for its one-node losses, with `gap_constants` for the constants
+that `loss_reg` is given.
 
 Each reference runs the numpy operations of its term in the same order as
 the node does, so the values are bitwise equal, while its gradient comes
@@ -74,11 +75,14 @@ def loss_imi(logits, logits_prime):
     return mean(sub(softplus(z_prime), softplus(z)) + sigmoid(z) * sub(z, z_prime))
 
 
-def loss_reg(indicators, grams):
-    n = len(indicators)
+def gap_constants(indicators):
     units = np.stack([vec / np.linalg.norm(vec) for vec in indicators])
-    ind_cos = units @ units.T
-    pairs = np.triu(np.ones((n, n)), k=1)
+    return units @ units.T, np.triu(np.ones((len(units),) * 2), k=1)
+
+
+def loss_reg(constants, grams):
+    ind_cos, pairs = constants
+    n = len(ind_cos)
     eye = np.eye(n)
     total = ad.constant(0.0)
     for gram in grams:

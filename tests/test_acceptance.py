@@ -272,8 +272,10 @@ def test_alignment_only_training(announce):
     names = sorted(indicators)
     stacked = np.stack([indicators[t] for t in names])
 
+    constants = obj.gap_constants(stacked)
+
     def current_loss():
-        return obj.loss_reg(stacked, hf.filter_gram(hf.target_theta(hyper, stacked)))
+        return obj.loss_reg(constants, hf.filter_gram(hf.target_theta(hyper, stacked)))
 
     initial = current_loss().item()
     for _ in range(2000):

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from strict_json import strict_load
 from fairfilter.cli import main
 from fairfilter.data import load_jsonl
-from fairfilter.objectives import loss_reg
+from fairfilter.objectives import gap_constants, loss_reg
 from fairfilter import autodiff as ad
 
 
@@ -222,7 +222,11 @@ class TestStrictJson:
         events = strict_load(run / "events.jsonl")
         assert "validation" not in [e["event"] for e in events]
         assert events[-1] == {"event": "best", "round": 0, "composite": None}
-        assert strict_load(run / "manifest.json")["command"] == "train"
+        manifest = strict_load(run / "manifest.json")
+        assert manifest["command"] == "train"
+        warning, = manifest["warnings"]
+        assert "validation split is empty" in warning
+        assert f"warning: {warning}\n" in res.stderr
 
 
 class TestEval:
@@ -402,6 +406,15 @@ def eval_args(ws, checkpoint=None, corpus=None, vectors=None, split_manifest=Non
     return args + (["--split-manifest", str(split_manifest)] if split_manifest else [])
 
 
+DEEP_JSON = "[" * 200_000  # past the JSON decoder's recursion limit
+
+
+def deep_embedding_corpus(ws):
+    """A one-post corpus whose embedding is a valid array nested 5,000 deep."""
+    return text_file(ws, "deep.jsonl", '{"id": "x", "targets": ["alpha"], "label": 0, '
+                     f'"embedding": {"[" * 5000}1.0{"]" * 5000}}}\n')
+
+
 def metrics_args(ws, predictions, *extra):
     return ["metrics", str(text_file(ws, "p.csv", predictions)),
             str(ws / "corpus.jsonl"), "-o", str(ws / "m.json"), *extra]
@@ -460,6 +473,17 @@ MALFORMED_INPUTS = {
         str(filled_vectors(ws, "gamma", "0")), "gamma", "-o", str(ws / "f.json")]),
     "eval-split-manifest-not-json": (3, lambda ws: eval_args(
         ws, split_manifest=text_file(ws, "s.json", "{not json"))),
+    "train-corpus-nested-too-deeply": (3, lambda ws: [
+        "train", str(ws / "train.cfg"), str(text_file(ws, "deep.jsonl", DEEP_JSON)),
+        str(ws / "vectors.txt"), "-o", str(ws / "r")]),
+    "eval-embedding-nested-too-deeply": (3, lambda ws: eval_args(
+        ws, corpus=deep_embedding_corpus(ws))),
+    "eval-split-manifest-nested-too-deeply": (3, lambda ws: eval_args(
+        ws, split_manifest=text_file(ws, "s.json", DEEP_JSON))),
+    "checkpoint-meta-nested-too-deeply": (5, lambda ws: eval_args(
+        ws, checkpoint=edit_checkpoint(ws, raw_meta=DEEP_JSON))),
+    "metrics-field-over-csv-limit": (3, lambda ws: metrics_args(
+        ws, f"id,score,label\n{'s' * 200_001},0.5,1\n")),
     "eval-split-manifest-ids-not-a-list": (3, lambda ws: eval_args(
         ws, split_manifest=text_file(ws, "s.json", '{"test": 5}'))),
     "metrics-non-numeric-score": (3, lambda ws: metrics_args(
@@ -602,7 +626,7 @@ class TestExportFilters:
         expected = (th_cos - ind_cos) ** 2
         names = sorted(thetas)
         flat = np.stack([thetas[name][0].data for name in names])
-        got = loss_reg(np.stack([indicators[name] for name in names]),
+        got = loss_reg(gap_constants(np.stack([indicators[name] for name in names])),
                        [ad.constant(flat @ flat.T)]).item()
         assert got == pytest.approx(expected, rel=1e-9)
 

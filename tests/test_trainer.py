@@ -11,7 +11,8 @@ from fairfilter import autodiff as ad
 from fairfilter import data, metrics, trainer
 from fairfilter.data import CorpusSplit, PostRecord
 from fairfilter.embeddings import WordVectorStore, tokenize_target
-from fairfilter.errors import CheckpointError, ConfigError, DataError, DivergenceError
+from fairfilter.errors import (CheckpointError, ConfigError, DataError, DivergenceError,
+                               GraphError)
 from fairfilter.trainer import Model, TrainConfig
 
 
@@ -356,7 +357,7 @@ class TestLossNodes:
 
     @staticmethod
     def values_and_grads(model, losses_of):
-        losses = losses_of()
+        losses = losses_of(model)
         *_, objective = losses.values()
         ad.backward(objective)
         grads = {name: np.concatenate([t.grad.ravel() for t in g.tensors.values()])
@@ -369,21 +370,25 @@ class TestLossNodes:
     @pytest.mark.parametrize("depth", [1, 2])
     def test_losses_bitwise_and_gradients_match_the_composed_terms(self, depth, monkeypatch):
         targets = ("a", "b", "c")
-        model = tiny_model(tiny_config(depth=depth, rank=2, batch_size=32), targets=targets)
+        # twins: the reference forms its own gap constants with the composed
+        # helper, so the bitwise check covers the cosine arithmetic too
+        model, twin = (tiny_model(tiny_config(depth=depth, rank=2, batch_size=32),
+                                  targets=targets) for _ in range(2))
         x, y, members = seen_rows(model, tiny_records(24, targets=targets))
         phases = {"filter": (("enc", "hyper", "hate"),
-                             lambda: trainer.synergic_losses(model, x, y, members)),
-                  "dis": (("dis",), lambda: trainer.discriminator_losses(
-                      model, next(model.embed(x, members, model.seen_indicators))[1],
-                      members))}
+                             lambda m: trainer.synergic_losses(m, x, y, members)),
+                  "dis": (("dis",), lambda m: trainer.discriminator_losses(
+                      m, next(m.embed(x, members, m.seen_indicators))[1], members))}
         for trainable, losses_of in phases.values():
-            for name, group in model.groups.items():
-                (group.unfreeze if name in trainable else group.freeze)()
+            for m in (model, twin):
+                for name, group in m.groups.items():
+                    (group.unfreeze if name in trainable else group.freeze)()
             node = self.values_and_grads(model, losses_of)
             with monkeypatch.context() as patched:
-                for term in ("loss_hate", "loss_dis", "loss_imi", "loss_reg", "synergic"):
+                for term in ("loss_hate", "loss_dis", "loss_imi", "loss_reg", "synergic",
+                             "gap_constants"):
                     patched.setattr(trainer.obj, term, getattr(composed_losses, term))
-                reference = self.values_and_grads(model, losses_of)
+                reference = self.values_and_grads(twin, losses_of)
             assert node[0] == reference[0]
             assert node[1].keys() == reference[1].keys() == set(trainable)
             for name, want in reference[1].items():
@@ -606,6 +611,49 @@ class TestFit:
         assert [r is split.train for r in tabulated].count(True) == 1
         # the rest is validation, scored once per round
         assert len(tabulated) == 1 + len(events_of(state, "validation")) == 4
+
+
+class TestGapConstants:
+    """The gap-alignment constants are formed once per model, and only when a
+    filter step aligns: mu > 0 and two or more seen targets."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        form = trainer.obj.gap_constants
+
+        def counting(indicators):
+            calls.append(indicators)
+            return form(indicators)
+
+        monkeypatch.setattr(trainer.obj, "gap_constants", counting)
+        return calls
+
+    def test_one_fit_forms_them_once(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        state = trainer.fit(tiny_config(max_rounds=3), tiny_split(), tiny_indicators())
+        assert len(events_of(state, "step")) > 1
+        assert len(calls) == 1 and calls[0] is state.model.seen_indicators
+
+    def test_load_predict_and_unaligned_fits_never_form_them(self, monkeypatch, tmp_path):
+        calls = self.counted(monkeypatch)
+        state = trainer.fit(tiny_config(mu=0.0), tiny_split(), tiny_indicators())
+        trainer.fit(tiny_config(), tiny_split(targets=("a",)), tiny_indicators(("a",)))
+        trainer.checkpoint_save(state.model, tmp_path / "m.npz")
+        loaded = trainer.checkpoint_load(tmp_path / "m.npz")
+        loaded.predict(tiny_records(12, seed=9), seen_table(loaded))
+        assert calls == []
+
+    def test_zero_norm_seen_indicator_fails_at_the_first_alignment_step(self):
+        indicators = tiny_indicators()
+        indicators["b"] = np.zeros(3)
+        model = Model(tiny_config(), d_in=4, indicator_dim=3, seen_targets=["a", "b"],
+                      indicators=indicators)
+        rows = seen_rows(model, tiny_records(8))
+        with pytest.raises(GraphError, match="zero-norm indicator in row 1"):
+            trainer.synergic_losses(model, *rows)
+        model.config = tiny_config(mu=0.0)
+        trainer.synergic_losses(model, *rows)
 
 
 class TestEvents:
