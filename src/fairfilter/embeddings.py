@@ -49,7 +49,9 @@ class TargetIndicator:
 
 def load_word_vectors(path) -> WordVectorStore:
     """Parse a 'token v1 ... vD' text file; every line must share one D and
-    every entry must be finite. Tokens are stored lower-case."""
+    every entry must be finite. Tokens are stored lower-case; when two lines
+    fold to the same token the first one is kept, as files list tokens by
+    descending frequency."""
     vectors: dict[str, np.ndarray] = {}
     dim = None
     with open(path, "r", encoding="utf-8") as fh, utf8_or(DataError, path):
@@ -68,7 +70,7 @@ def load_word_vectors(path) -> WordVectorStore:
             elif len(vec) != dim:
                 raise DataError(
                     f"line {line_no}: vector has {len(vec)} entries, expected {dim}")
-            vectors[parts[0].lower()] = vec
+            vectors.setdefault(parts[0].lower(), vec)
     if dim is None:
         raise DataError(f"word-vector file '{path}' is empty")
     return WordVectorStore(vectors=vectors, dim=dim)

@@ -26,7 +26,7 @@ class DataError(FairFilterError):
 
 
 class DivergenceError(FairFilterError):
-    """Non-finite loss or parameters encountered during training."""
+    """Non-finite loss or parameters in training, or non-finite scores."""
 
     exit_code = 4
 

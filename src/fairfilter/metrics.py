@@ -18,7 +18,6 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import PostRecord, membership, save_json
 from .errors import DataError
@@ -93,15 +92,33 @@ def harmonic_fairness(nfped: float, nfned: float) -> float:
     return 2.0 * nfped * nfned / (nfped + nfned)
 
 
+def average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of the 1-D array x; tied values share the mean of their
+    ranks. A tie group at sorted positions start..end-1 takes
+    0.5 (start + end + 1), a half-integer, so the ranks are exact."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = (0.5 * (starts + ends + 1))[np.cumsum(first) - 1]
+    return ranks
+
+
 def rank_auc(scores: Sequence[float], labels: Sequence[int]) -> float | None:
     """AUC as the rank statistic with averaged ranks for ties; None when only
-    one class is present."""
+    one class is present. A non-finite score is a DataError: it has no rank."""
+    scores = np.asarray(scores, dtype=np.float64)
+    finite = np.isfinite(scores)
+    if not finite.all():
+        raise DataError(f"{int(finite.size - finite.sum())} non-finite scores have no rank")
     labels = np.asarray(labels, dtype=int)
     n_pos = int(np.sum(labels == 1))
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = rankdata(np.asarray(scores, dtype=np.float64))
+    ranks = average_ranks(scores)
     return (float(np.sum(ranks[labels == 1])) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

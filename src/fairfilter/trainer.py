@@ -172,7 +172,12 @@ class Model:
 
     def predict(self, records: list[PostRecord],
                 indicators: dict[str, np.ndarray]) -> np.ndarray:
-        """Hatefulness scores aligned with `records`: the classifier over `embed`."""
+        """Hatefulness scores aligned with `records`: the classifier over `embed`.
+
+        Weights that overflow a layer leave a non-finite logit; that is a
+        DivergenceError, not a NaN or saturated score (numpy's overflow
+        warnings are silenced for it).
+        """
         names = sorted({t for r in records for t in r.targets})
         missing = [t for t in names if t not in indicators]
         if missing:
@@ -181,10 +186,14 @@ class Model:
             return np.empty(0)
         x, _, targets = tabulate(records, names)
         stack = np.stack([indicators[t] for t in names])
-        with ad.no_grad():
-            scores = [ad.logistic(self.classifier.forward(_constants(s_tilde)).data)[1]
-                      for _, s_tilde in self.embed(x, targets, stack)]
-        return np.concatenate(scores).reshape(-1)
+        with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
+            logits = np.concatenate([self.classifier.forward(_constants(s_tilde)).data
+                                     for _, s_tilde in self.embed(x, targets, stack)])
+        bad = int(np.count_nonzero(~np.isfinite(logits)))
+        if bad:
+            raise DivergenceError(f"non-finite classifier logits for {bad} of "
+                                  f"{len(records)} posts; the weights overflow")
+        return ad.logistic(logits)[1].reshape(-1)
 
 
 def _arrays(x: Tensor | tuple[Tensor, Tensor]):

@@ -272,6 +272,15 @@ class TestEval:
             "--split", "holdout"])
         assert res.exit_code == 2
 
+    def test_overflowing_weights_write_no_scores(self, workspace, runner):
+        res = runner.invoke(main, eval_args(workspace,
+                                            checkpoint=overflowing_checkpoint(workspace)))
+        assert res.exit_code == 4, res.output
+        assert res.stderr.startswith("error: non-finite classifier logits")
+        assert "Warning" not in res.output
+        assert not (workspace / "e" / "predictions.csv").exists()
+        assert not (workspace / "e" / "report.json").exists()
+
     def test_unreadable_checkpoint_exits_5(self, workspace, runner, tmp_path):
         junk = tmp_path / "junk.npz"
         junk.write_bytes(b"garbage")
@@ -310,6 +319,18 @@ def filled_checkpoint(ws, key, value):
     archive[key] = archive[key].copy()
     archive[key].flat[0] = value
     path = ws / "filled.npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, **archive)
+    return path
+
+
+def overflowing_checkpoint(ws):
+    """A copy of the trained checkpoint with finite classifier weights, scaled
+    by 1e300, whose products overflow float64."""
+    archive = dict(np.load(ws / "run" / "checkpoint.npz", allow_pickle=False))
+    for key in ("param/hate/W0", "param/hate/W1"):
+        archive[key] = archive[key] * 1e300
+    path = ws / "overflowing.npz"
     with open(path, "wb") as fh:
         np.savez(fh, **archive)
     return path
@@ -451,6 +472,8 @@ MALFORMED_INPUTS = {
         "gamma", "-o", str(ws / "f.json")]),
     "checkpoint-nan-weight": (5, lambda ws: eval_args(
         ws, checkpoint=filled_checkpoint(ws, "param/hate/W0", np.nan))),
+    "eval-checkpoint-overflowing-weights": (4, lambda ws: eval_args(
+        ws, checkpoint=overflowing_checkpoint(ws))),
     "checkpoint-inf-indicator": (5, lambda ws: eval_args(
         ws, checkpoint=filled_checkpoint(ws, "indicator/alpha", np.inf))),
     "export-checkpoint-inf-indicator": (5, lambda ws: [

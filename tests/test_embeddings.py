@@ -26,6 +26,12 @@ class TestLoadWordVectors:
         store = emb.load_word_vectors(p)
         np.testing.assert_allclose(store.lookup("WOMEN"), [1.0, 2.0])
 
+    def test_first_casing_of_a_token_wins(self, tmp_path):
+        p = tmp_path / "v.txt"
+        write_vectors(p, ["black 1 0", "Black 0 1"])
+        store = emb.load_word_vectors(p)
+        np.testing.assert_array_equal(store.lookup("black"), [1.0, 0.0])
+
     def test_inconsistent_arity_names_the_line(self, tmp_path):
         p = tmp_path / "v.txt"
         write_vectors(p, ["a 1.0 2.0", "b 1.0 2.0 3.0"])

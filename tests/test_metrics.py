@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from fairfilter import metrics
 from fairfilter.data import PostRecord
@@ -172,14 +173,23 @@ class TestClassificationMetrics:
         scores = rng.random(80)
         scores[::7] = 0.5  # force ties
         labels = (rng.random(80) < 0.4).astype(int)
-        auc = metrics.rank_auc(scores, labels)
-        pos = scores[labels == 1]
-        neg = scores[labels == 0]
-        wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
-        assert auc == pytest.approx(wins / (len(pos) * len(neg)), abs=1e-12)
+        saturated = scores.copy()  # tied runs at exactly 0 and 1, as scores that saturate
+        saturated[1::5] = 0.0
+        saturated[2::5] = 1.0
+        for x in (scores, saturated):
+            pos = x[labels == 1]
+            neg = x[labels == 0]
+            wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
+            assert metrics.rank_auc(x, labels) == pytest.approx(
+                wins / (len(pos) * len(neg)), abs=1e-12)
 
     def test_single_class_auc_is_none(self):
         assert metrics.rank_auc([0.1, 0.9], [1, 1]) is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(DataError, match="non-finite"):
+            metrics.rank_auc([0.2, bad, 0.7], [0, 1, 1])
 
     def test_threshold_changes_accuracy_not_auc(self):
         scores = np.linspace(0.05, 0.95, 20)
@@ -192,6 +202,29 @@ class TestClassificationMetrics:
     def test_empty_set_rejected(self):
         with pytest.raises(DataError):
             metrics.build_report([], [])
+
+
+RANK_CASES = {
+    "ties": np.round(np.random.default_rng(3).random(500), 2),
+    "all-equal": np.full(7, 0.25),
+    "one-score": np.array([0.4]),
+    "saturated": np.clip(np.random.default_rng(4).normal(0.5, 1.0, 20_000), 0.0, 1.0),
+}
+
+
+class TestAverageRanks:
+    @pytest.mark.parametrize("case", sorted(RANK_CASES))
+    def test_equals_scipy_rankdata_bytes(self, case):
+        x = RANK_CASES[case]
+        ranks = metrics.average_ranks(x)
+        assert ranks.dtype == np.float64
+        assert ranks.tobytes() == rankdata(x, method="average").tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), min_size=1, max_size=40))
+    def test_equals_scipy_rankdata_on_tied_draws(self, values):
+        x = np.asarray(values)
+        assert metrics.average_ranks(x).tobytes() == rankdata(x, method="average").tobytes()
 
 
 class TestBuildReport:
