@@ -24,7 +24,7 @@ from .config import parse_kv_file, split_spec_from, synth_spec_from, train_confi
 from .data import (load_jsonl, make_split, save_json, save_jsonl, select_records,
                    synth_generate, synth_indicators)
 from .embeddings import load_word_vectors, save_word_vectors, tokenize_target
-from .errors import ConfigError, DataError, FairFilterError, utf8_or
+from .errors import ConfigError, DataError, DivergenceError, FairFilterError, utf8_or
 from .metrics import build_report
 from .trainer import (checkpoint_load, checkpoint_save, eval_indicators, fit,
                       resolve_indicators, write_events)
@@ -95,6 +95,12 @@ def main():
 def synth(spec_file, out, vectors_out):
     """Generate a synthetic corpus with planted target-label correlations."""
     spec = synth_spec_from(parse_kv_file(spec_file, sections=("synth",)))
+    if vectors_out:
+        tokens = [t for name in spec.target_names for t in set(tokenize_target(name))]
+        shared = sorted({t for t in tokens if tokens.count(t) > 1})
+        if shared:
+            raise ConfigError(f"target names share the tokens {shared}, so a word-vector "
+                              f"file cannot reproduce their indicators")
     records = synth_generate(spec)
     if spec.n_posts == 0:
         click.echo("warning: n_posts = 0, writing an empty corpus", err=True)
@@ -251,16 +257,20 @@ def export_filters(checkpoint, vectors, targets, out):
         "seen_in_training": name in model.seen_targets,
         "indicator": [float(v) for v in resolved[name].vector],
     } for name in targets]
-    with no_grad():
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
         thetas = [hfilt.assemble_theta(f).data for f in hfilt.target_theta(
             model.hyper, np.array([entry["indicator"] for entry in entries]))]
+    bad = [e["name"] for i, e in enumerate(entries)
+           if not all(np.isfinite(t[i]).all() for t in thetas)]
+    if bad:
+        raise DivergenceError(f"non-finite filters for targets {bad}; the weights overflow")
     for i, entry in enumerate(entries):
         entry["theta"] = [[float(v) for v in t[i].reshape(-1)] for t in thetas]
     with open(out, "w", encoding="utf-8") as fh:
         json.dump({"hidden_dim": model.config.hidden_dim,
                    "rank": model.config.rank,
                    "depth": model.config.depth,
-                   "filters": entries}, fh)
+                   "filters": entries}, fh, allow_nan=False)
         fh.write("\n")
     _write_manifest(str(out) + ".manifest.json", "export-filters",
                     {"targets": list(targets)}, [checkpoint, vectors], [out],

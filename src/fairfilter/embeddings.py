@@ -3,7 +3,8 @@
 Target indicators are the mean of a target name's word vectors; they are the
 hypernetwork's conditioning input and require no training, which is what
 makes zero-shot filters for unseen targets possible (`build_indicator`, which
-only `trainer.resolve_indicators` calls). `encode_posts` reads embedding
+only `trainer.resolve_indicators` calls). `encode_posts` is the adapter's
+one entry (`EncoderAdapter` only holds its parameters): it reads embedding
 rows, as `stack_embeddings` builds them from records, and returns the
 encoding through `autodiff.factored` over (last layer's input, last weight):
 at the default depth 1 with d_in < d that is the pair (x, W0), so a head's
@@ -109,7 +110,8 @@ def build_indicator(name: str, store: WordVectorStore) -> TargetIndicator:
 
 
 class EncoderAdapter:
-    """Trainable linear map from raw post embeddings into the model space.
+    """Parameters of the trainable linear map from raw post embeddings into
+    the model space, which `encode_posts` runs.
 
     Stands in for the finetunable text encoder; a bias-free single layer by
     default, with optional extra depth.
@@ -126,18 +128,6 @@ class EncoderAdapter:
             else:
                 self.group.add(f"W{i}", ad.glorot_init((a, b), rng))
 
-    def encode(self, x: Tensor) -> Tensor | tuple[Tensor, Tensor]:
-        """x is (n, d_in); returns the (n, d_out) encoding as
-        `ad.factored(last layer's input, last weight)`. Gradients flow into
-        the group."""
-        if x.data.shape[1] != self.d_in:
-            raise DataError(
-                f"adapter expects embeddings of dim {self.d_in}, got {x.data.shape[1]}")
-        h = x
-        for i in range(self.depth - 1):
-            h = ad.relu(ad.matmul(h, self.group.tensors[f"W{i}"]))
-        return ad.factored(h, self.group.tensors[f"W{self.depth - 1}"])
-
 
 def stack_embeddings(records) -> np.ndarray:
     """The records' stored embeddings as one (n, d_in) array."""
@@ -148,5 +138,11 @@ def stack_embeddings(records) -> np.ndarray:
 
 
 def encode_posts(x: np.ndarray, adapter: EncoderAdapter) -> Tensor | tuple[Tensor, Tensor]:
-    """Run embedding rows x (n, d_in) through the adapter (`EncoderAdapter.encode`)."""
-    return adapter.encode(ad.constant(x))
+    """Run embedding rows x (n, d_in) through the adapter, whose group gets the
+    gradients; the (n, d) encoding is `ad.factored(last input, last weight)`."""
+    if x.shape[1] != adapter.d_in:
+        raise DataError(f"adapter expects embeddings of dim {adapter.d_in}, got {x.shape[1]}")
+    h = ad.constant(x)
+    for i in range(adapter.depth - 1):
+        h = ad.relu(ad.matmul(h, adapter.group.tensors[f"W{i}"]))
+    return ad.factored(h, adapter.group.tensors[f"W{adapter.depth - 1}"])

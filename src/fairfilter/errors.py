@@ -26,7 +26,8 @@ class DataError(FairFilterError):
 
 
 class DivergenceError(FairFilterError):
-    """Non-finite loss or parameters in training, or non-finite scores."""
+    """Non-finite loss, parameters, scores or filters, or a dead (all-zero)
+    generated filter in training."""
 
     exit_code = 4
 

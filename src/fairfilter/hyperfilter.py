@@ -23,9 +23,11 @@ times. The last layer's product is left to the consumer: when T*K < d,
 `apply_filter` returns the pair (z * M_rep, P'), of rank at most T*K, and a
 head's first layer folds P' into its weight (`autodiff.factored`,
 `autodiff.dense`), so no (n, d) filtered embedding is formed on the
-training or scoring paths; otherwise it returns the product. The
-generator runs once per layer over a (T, indicator_dim) stack of
-indicators; its row t, column t of M and row and column t of a Gram matrix
+training or scoring paths; otherwise it returns the product.
+
+`target_theta` is the generator's one entry (`HyperFilter` only holds its
+parameters): one pass per layer over a (T, indicator_dim) stack of
+indicators. Its row t, column t of M and row and column t of a Gram matrix
 are one target, in the caller's order, and no function here sees a name.
 The gap-alignment loss works in factor space too (`filter_gram`).
 `assemble_theta` is the only dense path; `export-filters`, which generates
@@ -48,11 +50,6 @@ def factor_arity(d: int, rank: int) -> int:
     return rank * rank + 2 * d * rank + rank
 
 
-def dense_arity(d: int) -> int:
-    """Entries of a dense d x (d+1) filter layer, for the memory comparison."""
-    return d * (d + 1)
-
-
 @dataclass
 class LowRankFactors:
     """One filter layer for T targets: P = (U W)^T and V."""
@@ -62,7 +59,7 @@ class LowRankFactors:
 
 
 class HyperFilter:
-    """Per-layer generator MLPs that emit low-rank filter factors."""
+    """Parameters of the per-layer generator MLPs; `target_theta` runs them."""
 
     def __init__(self, d: int, rank: int, depth: int, indicator_dim: int,
                  rng, hidden: int = 128):
@@ -80,31 +77,28 @@ class HyperFilter:
             self.group.add(f"L{layer}.W1", ad.glorot_init((hidden, arity), rng))
             self.group.add(f"L{layer}.b1", np.zeros(arity))
 
-    def generate_factors(self, indicators: np.ndarray, layer: int) -> LowRankFactors:
-        """Run generator `layer` on a (T, indicator_dim) stack; reshape its flat
-        [U | W | V] output and form P = (U W)^T."""
-        if layer < 0 or layer >= self.depth:
-            raise DimensionError(f"layer {layer} out of range for depth {self.depth}")
-        if indicators.ndim != 2 or indicators.shape[1] != self.indicator_dim:
-            raise DimensionError(
-                f"indicators shape {indicators.shape} != (T, {self.indicator_dim})")
+
+def target_theta(hyper: HyperFilter, indicators: np.ndarray) -> list[LowRankFactors]:
+    """Per-layer factors for a (T, indicator_dim) stack of target indicators:
+    each layer's generator reshapes its flat [U | W | V] output and forms
+    P = (U W)^T."""
+    if indicators.ndim != 2 or indicators.shape[1] != hyper.indicator_dim:
+        raise DimensionError(
+            f"indicators shape {indicators.shape} != (T, {hyper.indicator_dim})")
+    g, x = hyper.group.tensors, ad.constant(indicators)
+    t, d, k = len(indicators), hyper.d, hyper.rank
+    factors = []
+    for layer in range(hyper.depth):
         # einsum rather than BLAS matmul, here and for P: each target's row is
         # computed the same way whatever else is in the stack, so a target's
         # filter is bitwise independent of the other targets generated with it
-        g = self.group.tensors
-        h = ad.relu(ad.einsum("ti,ih->th", ad.constant(indicators), g[f"L{layer}.W0"])
-                    + g[f"L{layer}.b0"])
+        h = ad.relu(ad.einsum("ti,ih->th", x, g[f"L{layer}.W0"]) + g[f"L{layer}.b0"])
         flat = ad.einsum("th,ha->ta", h, g[f"L{layer}.W1"]) + g[f"L{layer}.b1"]
-        t, d, k = len(indicators), self.d, self.rank
         u = ad.reshape(flat[:, :d * k], (t, d, k))
         w = ad.reshape(flat[:, d * k:d * k + k * k], (t, k, k))
         v = ad.reshape(flat[:, d * k + k * k:], (t, k, d + 1))
-        return LowRankFactors(p=ad.einsum("tdk,tkl->tld", u, w), v=v)
-
-
-def target_theta(hyper: HyperFilter, indicators: np.ndarray) -> list[LowRankFactors]:
-    """Per-layer factors for a (T, indicator_dim) stack of target indicators."""
-    return [hyper.generate_factors(indicators, layer) for layer in range(hyper.depth)]
+        factors.append(LowRankFactors(p=ad.einsum("tdk,tkl->tld", u, w), v=v))
+    return factors
 
 
 def assemble_theta(factors: LowRankFactors) -> Tensor:

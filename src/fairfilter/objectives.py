@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DimensionError, GraphError
+from .errors import ConfigError, DimensionError, DivergenceError, GraphError
 
 
 def _bce(logits: Tensor, p: np.ndarray) -> Tensor:
@@ -69,7 +69,8 @@ def loss_reg(constants: tuple[np.ndarray, np.ndarray], grams: list[Tensor]) -> T
     the flattened filter parameters' cosine, summed over filter layers.
     Target t is row and column t of each layer's filter Gram matrix `grams[l]`
     (`hyperfilter.filter_gram`) and of `constants`, from `gap_constants`.
-    A cosine is G_ab / sqrt(G_aa G_bb); one node covers every layer.
+    A cosine is G_ab / sqrt(G_aa G_bb); one node covers every layer. A filter
+    that is all zeros has none, a DivergenceError that names its rows.
     """
     ind_cos, pairs = constants
     n = len(ind_cos)
@@ -79,10 +80,12 @@ def loss_reg(constants: tuple[np.ndarray, np.ndarray], grams: list[Tensor]) -> T
         raise DimensionError(f"gap alignment: every Gram matrix must be ({n}, {n})")
     total = 0.0
     layers = []
-    for gram in grams:
+    for layer, gram in enumerate(grams):
         sq_norms = np.diagonal(gram.data)
-        if np.any(sq_norms == 0.0):
-            raise GraphError("degenerate cosine: zero-norm filter parameters")
+        dead = np.flatnonzero(sq_norms == 0.0).tolist()
+        if dead:
+            raise DivergenceError(f"degenerate cosine: layer {layer}'s generated filter is "
+                                  f"all zeros for target rows {dead} (a dead generator)")
         root = np.sqrt(sq_norms.reshape(n, 1) * sq_norms.reshape(1, n))
         cos = gram.data / root
         gap = cos - ind_cos

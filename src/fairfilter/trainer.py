@@ -18,12 +18,12 @@ validation and a closing best event, which `write_events` writes as JSONL.
 
 `Model.embed` is the one no-tape embedding path, over rows: `Model.predict`
 tabulates posts on their own sorted targets and reads it, and the
-discriminator phase, whose filters are frozen, reads it once per phase.
-Embeddings reach the heads as factored (rows, basis) pairs where the basis
-has fewer rows than columns (`filter_batch`, `autodiff.factored`), so a
-head folds the basis into its first layer (`autodiff.dense`); the
-discriminator phase then keeps the (n, T*K) coefficient rows of s_tilde and
-its one basis, not dense (n, d) rows.
+discriminator phase, whose filters are frozen, reads it once per phase. It
+hands on each embedding in one form, a (rows, basis) pair of arrays: where
+the basis has fewer rows than columns (`filter_batch`, `autodiff.factored`)
+a head folds it into its first layer (`autodiff.dense`), so the
+discriminator phase keeps s_tilde's (n, T*K) coefficient rows and one
+basis; elsewhere the basis is None and the rows are the (n, d) embedding.
 `resolve_indicators` is the one lookup from target names to indicators, for
 training, scoring (through `eval_indicators`) and filter export alike.
 """
@@ -156,10 +156,10 @@ class Model:
         tape; `targets` (n, T) is their membership over the rows of the
         (T, indicator_dim) `indicators` stack, whose filters are made once.
 
-        Each of s and s_tilde comes as `filter_batch` returns it, as arrays:
-        a (rows, basis) pair, where rows @ basis, one product apiece, is the
-        dense (n, d) embedding, or that (n, d) array. A basis is the same in
-        every chunk: s's is the adapter's last weight, s_tilde's the
+        Each of s and s_tilde is a (rows, basis) pair of arrays: rows @ basis
+        is the dense (n, d) embedding, and basis is None where `filter_batch`
+        multiplied it out, the rows being the embedding. A basis is the same
+        in every chunk: s's is the adapter's last weight, s_tilde's the
         (T*K, d) stack of the last filter layer's P.
         """
         with ad.no_grad():
@@ -196,15 +196,14 @@ class Model:
         return ad.logistic(logits)[1].reshape(-1)
 
 
-def _arrays(x: Tensor | tuple[Tensor, Tensor]):
-    """The arrays of an embedding: a tensor's, or a (rows, basis) pair's two."""
-    return tuple(t.data for t in x) if isinstance(x, tuple) else x.data
+def _arrays(x: Tensor | tuple[Tensor, Tensor]) -> tuple[np.ndarray, np.ndarray | None]:
+    """An embedding as a (rows, basis) pair of arrays, basis None for a tensor."""
+    return (x[0].data, x[1].data) if isinstance(x, tuple) else (x.data, None)
 
 
-def _constants(x: np.ndarray | tuple[np.ndarray, np.ndarray]
-               ) -> Tensor | tuple[Tensor, Tensor]:
-    """`_arrays` back as tape-free tensors."""
-    return tuple(map(ad.constant, x)) if isinstance(x, tuple) else ad.constant(x)
+def _constants(x: tuple[np.ndarray, np.ndarray | None]) -> Tensor | tuple[Tensor, Tensor]:
+    """`_arrays` back as a tape-free head input, in `ad.factored`'s form."""
+    return ad.constant(x[0]) if x[1] is None else tuple(map(ad.constant, x))
 
 
 @dataclass
@@ -232,11 +231,11 @@ class TrainState:
                 for e in self.events if e["event"] == "epoch"]
 
 
-def discriminator_losses(model: Model, s_tilde: np.ndarray | tuple[np.ndarray, np.ndarray],
+def discriminator_losses(model: Model, s_tilde: tuple[np.ndarray, np.ndarray | None],
                          targets: np.ndarray) -> dict[str, Tensor]:
     """The discriminator phase's objective: recover each post's seen targets
-    (multi-hot rows) from its filtered embedding, the rows of s_tilde given
-    as an array or as a (rows, basis) pair of arrays (`Model.embed`)."""
+    (multi-hot rows) from its filtered embedding, s_tilde in `Model.embed`'s
+    (rows, basis) form."""
     return {"l_dis": obj.loss_dis(model.discriminator.forward(_constants(s_tilde)),
                                   targets)}
 
@@ -320,19 +319,14 @@ def phase_discriminator(state: TrainState, rows: tuple[np.ndarray, ...],
                         epochs: int, rng: np.random.Generator) -> None:
     """N epochs of discriminator-only minibatch updates (rest frozen), over
     filtered embeddings that `Model.embed` computes once for the phase: the
-    (n, T*K) coefficient rows of every post and the one basis they share, or
-    the (n, d) rows where the basis does not fold."""
+    rows of every post and the one basis they share."""
     model = state.model
     x, y, targets = rows
     chunks = [s_tilde for _, s_tilde in model.embed(x, targets, model.seen_indicators)]
-    if isinstance(chunks[0], tuple):
-        s_rows, basis = np.concatenate([c for c, _ in chunks]), chunks[0][1]
-    else:
-        s_rows, basis = np.concatenate(chunks), None
+    s_rows, basis = np.concatenate([c for c, _ in chunks]), chunks[0][1]
     _run_phase(state, x, y, epochs, rng, "dis", ("dis",),
-               lambda batch: discriminator_losses(
-                   model, s_rows[batch] if basis is None else (s_rows[batch], basis),
-                   targets[batch]))
+               lambda batch: discriminator_losses(model, (s_rows[batch], basis),
+                                                  targets[batch]))
 
 
 def phase_filter(state: TrainState, rows: tuple[np.ndarray, ...],

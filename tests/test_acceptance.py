@@ -143,11 +143,15 @@ def test_ensemble_laws(announce):
 
 def test_parameter_count_law(announce):
     assert hf.factor_arity(256, 1) == 514
-    assert hf.dense_arity(256) == 65792
+    # the generator emits 514 entries per layer; the filter they stand for is
+    # the dense 256 x 257 [weight | bias]
+    hyper = hf.HyperFilter(256, 1, 1, 3, np.random.default_rng(0), hidden=4)
+    assert hyper.group.tensors["L0.b1"].data.shape == (514,)
+    assert hf.assemble_theta(hf.target_theta(hyper, np.ones((1, 3)))[0]).data[0].size == 65792
     for d in (16, 64, 256):
         for rank in (1, 5):
             assert hf.factor_arity(d, rank) == rank * rank + 2 * d * rank + rank
-            assert hf.factor_arity(d, rank) < hf.dense_arity(d)
+            assert hf.factor_arity(d, rank) < d * (d + 1)
     announce("[5/9] parameter-count law: PASS "
              "(514 generated vs 65792 dense at d=256, K=1)")
 

@@ -123,6 +123,22 @@ class TestSynth:
         assert "must be finite" in res.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.cfg"]
 
+    def test_targets_sharing_a_token_exit_2_before_writing(self, tmp_path, runner):
+        # one vector per token: 'black' and 'women' would each carry the
+        # indicator of whichever target wrote them last
+        names = ["black_women", "black_men", "women"]
+        spec = text_file(tmp_path, "s.cfg", "".join(
+            [f"synth.targets = {', '.join(names)}\nsynth.n_posts = 50\nsynth.dim = 8\n"]
+            + [f"synth.label_rate.{name} = 0.5\n" for name in names]))
+        args = ["synth", str(spec), "-o", str(tmp_path / "c.jsonl")]
+        res = runner.invoke(main, args + ["--vectors-out", str(tmp_path / "v.txt")])
+        assert res.exit_code == 2, res.output
+        assert res.stderr.startswith("error: target names share the tokens "
+                                     "['black', 'women']")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.cfg"]
+        # without a word-vector file the corpus is sound
+        assert runner.invoke(main, args).exit_code == 0
+
 
 class TestTrain:
     def test_outputs_present(self, workspace):
@@ -176,6 +192,15 @@ class TestTrain:
                                    "-o", str(tmp_path / "r")])
         assert res.exit_code == 0, res.output
 
+    def test_dead_generated_filter_exits_4(self, tmp_path, runner):
+        res = runner.invoke(main, dead_filter_train_args(tmp_path, 0, runner))
+        assert res.exit_code == 4, res.output
+        assert res.stderr == ("error: degenerate cosine: layer 0's generated filter is all "
+                              "zeros for target rows [4] (a dead generator)\n")
+        assert not (tmp_path / "dead-run-0").exists()
+        res = runner.invoke(main, dead_filter_train_args(tmp_path, 3, runner))
+        assert res.exit_code == 0, res.output
+
     def test_bad_config_exits_2(self, workspace, runner, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("train.lambda = -1\nsplit.unseen_targets = gamma\n")
@@ -227,6 +252,31 @@ class TestStrictJson:
         warning, = manifest["warnings"]
         assert "validation split is empty" in warning
         assert f"warning: {warning}\n" in res.stderr
+
+    @pytest.mark.parametrize("case", ["eval-overflowing-generator",
+                                      "export-filters-overflowing-generator",
+                                      "train-dead-generated-filter"])
+    def test_broken_inputs_end_in_an_exit_code(self, workspace, runner, case):
+        ws = workspace
+        before = {p: p.read_bytes() for p in ws.rglob("*") if p.is_file()}
+        args = {"eval-overflowing-generator": lambda: eval_args(
+                    ws, checkpoint=overflowing_generator_checkpoint(ws)),
+                "export-filters-overflowing-generator": lambda: [
+                    "export-filters", str(overflowing_generator_checkpoint(ws)),
+                    str(ws / "vectors.txt"), "alpha", "gamma", "-o", str(ws / "f.json")],
+                "train-dead-generated-filter": lambda: dead_filter_train_args(ws, 0, runner)
+                }[case]()
+        made = {p for p in ws.rglob("*") if p.is_file()} - before.keys()
+        res = runner.invoke(main, args)
+        assert isinstance(res.exception, SystemExit), res.exc_info
+        assert res.exit_code in (2, 3, 4, 5), res.output
+        assert "Traceback" not in res.output and "Warning" not in res.output
+        assert res.stderr.startswith("error:")
+        written = [p for p in ws.rglob("*") if p.is_file() and p not in made
+                   and before.get(p) != p.read_bytes()]
+        assert written == []
+        for path in (p for p in ws.rglob("*") if p.suffix in (".json", ".jsonl")):
+            assert strict_load(path) is not None, path
 
 
 class TestEval:
@@ -334,6 +384,41 @@ def overflowing_checkpoint(ws):
     with open(path, "wb") as fh:
         np.savez(fh, **archive)
     return path
+
+
+def overflowing_generator_checkpoint(ws):
+    """A copy of the trained checkpoint with finite generator weights, scaled
+    by 1e10 and 1e300, whose filters overflow float64."""
+    archive = dict(np.load(ws / "run" / "checkpoint.npz", allow_pickle=False))
+    archive["param/hyper/L0.W0"] = archive["param/hyper/L0.W0"] * 1e10
+    archive["param/hyper/L0.W1"] = archive["param/hyper/L0.W1"] * 1e300
+    path = ws / "overflowing-generator.npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, **archive)
+    return path
+
+
+DEAD_FILTER_TARGETS = [f"t{i}" for i in range(8)]
+
+
+def dead_filter_train_args(ws, seed, runner):
+    """`train` on a 600-post, 8-target corpus with a one-unit generator, whose
+    ReLU is dead for some seen target at train seed 0 but not at seed 3."""
+    corpus, vectors = ws / "dead.jsonl", ws / "dead-vectors.txt"
+    if not corpus.exists():
+        spec = text_file(ws, "dead-synth.cfg", "".join(
+            [f"synth.targets = {', '.join(DEAD_FILTER_TARGETS)}\n",
+             "synth.n_posts = 600\nsynth.bias_scale = 2.0\nsynth.noise = 1.2\n"
+             "synth.dim = 24\n"]
+            + [f"synth.label_rate.{t} = 0.5\n" for t in DEAD_FILTER_TARGETS]))
+        res = runner.invoke(main, ["synth", str(spec), "-o", str(corpus),
+                                   "--vectors-out", str(vectors)])
+        assert res.exit_code == 0, res.output
+    cfg = text_file(ws, f"dead-train-{seed}.cfg",
+                    "train.hidden_dim = 8\ntrain.hyper_hidden = 1\ntrain.head_hidden = 4\n"
+                    f"train.max_rounds = 1\ntrain.seed = {seed}\n"
+                    "split.unseen_targets = t6, t7\n")
+    return ["train", str(cfg), str(corpus), str(vectors), "-o", str(ws / f"dead-run-{seed}")]
 
 
 def truncated_checkpoint(ws):
@@ -652,6 +737,17 @@ class TestExportFilters:
         got = loss_reg(gap_constants(np.stack([indicators[name] for name in names])),
                        [ad.constant(flat @ flat.T)]).item()
         assert got == pytest.approx(expected, rel=1e-9)
+
+    def test_overflowing_generator_exits_4_and_writes_nothing(self, workspace, runner):
+        out = workspace / "f.json"
+        res = runner.invoke(main, [
+            "export-filters", str(overflowing_generator_checkpoint(workspace)),
+            str(workspace / "vectors.txt"), "alpha", "gamma", "-o", str(out)])
+        assert res.exit_code == 4, res.output
+        assert res.stderr == ("error: non-finite filters for targets ['alpha', 'gamma']; "
+                              "the weights overflow\n")
+        assert "Warning" not in res.output
+        assert not out.exists() and not (workspace / "f.json.manifest.json").exists()
 
     def test_unknown_target_exits_3(self, workspace, runner):
         res = runner.invoke(main, [

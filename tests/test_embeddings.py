@@ -114,30 +114,31 @@ class TestEncoderAdapter:
     def test_square_single_layer_starts_as_identity(self):
         adapter = emb.EncoderAdapter(4, 4, np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(3, 4))
-        out = adapter.encode(ad.constant(x))
+        out = emb.encode_posts(x, adapter)
         np.testing.assert_array_equal(out.data, x)
 
     def test_projecting_layer_output_shape(self):
         adapter = emb.EncoderAdapter(10, 6, np.random.default_rng(0))
-        out = adapter.encode(ad.constant(np.zeros((5, 10))))
+        out = emb.encode_posts(np.zeros((5, 10)), adapter)
         assert out.data.shape == (5, 6)
 
     def test_narrow_input_encodes_as_a_pair(self):
         # d_in < d_out: the encoding stays factored as (x, W0), which a
         # head's first layer folds
         adapter = emb.EncoderAdapter(3, 6, np.random.default_rng(0))
-        x = ad.constant(np.random.default_rng(1).normal(size=(5, 3)))
-        rows, basis = adapter.encode(x)
-        assert rows is x and basis is adapter.group.tensors["W0"]
+        x = np.random.default_rng(1).normal(size=(5, 3))
+        rows, basis = emb.encode_posts(x, adapter)
+        np.testing.assert_array_equal(rows.data, x)
+        assert not rows.requires_grad and basis is adapter.group.tensors["W0"]
 
     def test_dim_mismatch_rejected(self):
         adapter = emb.EncoderAdapter(10, 6, np.random.default_rng(0))
         with pytest.raises(DataError, match="dim 10"):
-            adapter.encode(ad.constant(np.zeros((5, 7))))
+            emb.encode_posts(np.zeros((5, 7)), adapter)
 
     def test_gradients_reach_adapter_weights(self):
         adapter = emb.EncoderAdapter(5, 3, np.random.default_rng(0), depth=2)
-        out = adapter.encode(ad.constant(np.random.default_rng(1).normal(size=(4, 5))))
+        out = emb.encode_posts(np.random.default_rng(1).normal(size=(4, 5)), adapter)
         ad.backward(tsum(out * out))
         for name, tensor in adapter.group.tensors.items():
             assert tensor.grad is not None, name

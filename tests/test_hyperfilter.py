@@ -26,13 +26,10 @@ class TestArity:
     def test_factor_arity(self, d, k, expected):
         assert hf.factor_arity(d, k) == expected
 
-    def test_dense_arity(self):
-        assert hf.dense_arity(256) == 256 * 257
-
     @given(st.integers(4, 512))
     def test_low_rank_beats_dense_below_a_third_of_d(self, d):
         for k in range(1, max(2, d // 3)):
-            assert hf.factor_arity(d, k) < hf.dense_arity(d)
+            assert hf.factor_arity(d, k) < d * (d + 1)
 
 
 def stack(*vectors):
@@ -49,9 +46,11 @@ def ensemble(hyper, table, target_sets):
 class TestGenerateFactors:
     def test_shapes(self):
         hyper = make_hyper()
-        f = hyper.generate_factors(np.ones((2, 3)), 0)
-        assert f.p.data.shape == (2, 2, 6)
-        assert f.v.data.shape == (2, 2, 7)
+        factors = hf.target_theta(hyper, np.ones((2, 3)))
+        assert len(factors) == hyper.depth
+        for f in factors:
+            assert f.p.data.shape == (2, 2, 6)
+            assert f.v.data.shape == (2, 2, 7)
 
     def test_reshape_order_is_u_then_w_then_v(self):
         # overwrite the generator so its flat output is 0..arity-1
@@ -62,23 +61,21 @@ class TestGenerateFactors:
         g["L0.b0"].data[:] = 0.0
         g["L0.W1"].data[:] = 0.0
         g["L0.b1"].data[:] = np.arange(arity, dtype=np.float64)
-        f = hyper.generate_factors(np.zeros((1, 2)), 0)
+        f, = hf.target_theta(hyper, np.zeros((1, 2)))
         u, w = np.arange(6.0).reshape(3, 2), np.arange(6.0, 10.0).reshape(2, 2)
         np.testing.assert_array_equal(f.p.data[0], (u @ w).T)
         np.testing.assert_array_equal(f.v.data[0], np.arange(10, 18).reshape(2, 4))
 
-    def test_bad_layer_and_indicator_shape(self):
+    def test_bad_indicator_shape(self):
         hyper = make_hyper()
         with pytest.raises(DimensionError):
-            hyper.generate_factors(np.ones((1, 3)), 5)
+            hf.target_theta(hyper, np.ones((1, 4)))
         with pytest.raises(DimensionError):
-            hyper.generate_factors(np.ones((1, 4)), 0)
-        with pytest.raises(DimensionError):
-            hyper.generate_factors(np.ones(3), 0)
+            hf.target_theta(hyper, np.ones(3))
 
     def test_assembled_theta_has_rank_at_most_k(self):
         hyper = make_hyper(d=8, rank=2)
-        theta = hf.assemble_theta(hyper.generate_factors(np.ones((1, 3)), 0))
+        theta = hf.assemble_theta(hf.target_theta(hyper, np.ones((1, 3)))[0])
         assert theta.data.shape == (1, 8, 9)
         assert np.linalg.matrix_rank(theta.data[0], tol=1e-10) <= 2
 
@@ -123,20 +120,28 @@ class TestEnsembleParams:
 
     def test_one_generator_pass_per_layer(self, monkeypatch):
         # posts sharing targets share graph nodes: however many posts and
-        # target sets, each layer's generator runs once over all targets
+        # target sets, the generator runs once over all targets, and each
+        # layer's first product reads the whole (4, 3) stack once
         hyper = make_hyper()
         ind = self.indicators(4)
-        calls = []
-        original = hf.HyperFilter.generate_factors
+        calls, passes = [], []
+        original, einsum = hf.target_theta, ad.einsum
 
-        def counted(self, indicators, layer):
+        def counted(hyper, indicators):
             calls.append(indicators.shape)
-            return original(self, indicators, layer)
+            return original(hyper, indicators)
 
-        monkeypatch.setattr(hf.HyperFilter, "generate_factors", counted)
+        def counted_einsum(spec, *operands):
+            if spec == "ti,ih->th":
+                passes.append(operands[0].shape)
+            return einsum(spec, *operands)
+
+        monkeypatch.setattr(hf, "target_theta", counted)
+        monkeypatch.setattr(ad, "einsum", counted_einsum)
         sets = [{"t0"}, {"t0", "t1"}, {"t2", "t3", "t1"}, {"t0"}, {"t3"}]
         factors, mix = ensemble(hyper, ind, sets)
-        assert calls == [(4, 3)] * hyper.depth
+        assert calls == [(4, 3)]
+        assert passes == [(4, 3)] * hyper.depth
         assert all(f.p.data.shape[0] == 4 for f in factors)
         assert mix.shape == (5, 4)
 

@@ -7,7 +7,7 @@ from scipy.special import expit
 import composed_losses as composed
 from fairfilter import autodiff as ad
 from fairfilter import objectives as obj
-from fairfilter.errors import ConfigError, DimensionError, GraphError
+from fairfilter.errors import ConfigError, DimensionError, DivergenceError, GraphError
 
 
 def tensor(values):
@@ -196,7 +196,7 @@ class TestLossReg:
             reg(rows(indicators), grams(thetas))
         indicators["b"] = np.asarray([0.0, 1.0])
         thetas["b"] = [[0.0]]
-        with pytest.raises(GraphError, match="degenerate"):
+        with pytest.raises(DivergenceError, match="degenerate"):
             reg(rows(indicators), grams(thetas))
 
     def test_zero_norm_messages(self):
@@ -204,9 +204,10 @@ class TestLossReg:
         with pytest.raises(GraphError) as info:
             obj.gap_constants(stack)
         assert str(info.value) == "degenerate cosine: zero-norm indicator in row 1"
-        with pytest.raises(GraphError) as info:
-            reg(np.eye(3), [tensor(np.eye(3)), tensor(np.diag([1.0, 0.0, 1.0]))])
-        assert str(info.value) == "degenerate cosine: zero-norm filter parameters"
+        with pytest.raises(DivergenceError) as info:
+            reg(np.eye(3), [tensor(np.eye(3)), tensor(np.diag([1.0, 0.0, 0.0]))])
+        assert str(info.value) == ("degenerate cosine: layer 1's generated filter is all "
+                                   "zeros for target rows [1, 2] (a dead generator)")
 
     def test_depth_two_sums_its_layers(self):
         rng = np.random.default_rng(9)

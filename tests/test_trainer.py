@@ -212,7 +212,7 @@ class TestModel:
             min(batch_size, 40 - start) for start in range(0, 40, batch_size)]
         assert len(built) == len(chunks)
         for pair in (pair for chunk in chunks for pair in chunk):
-            assert all(isinstance(a, np.ndarray) for a in pair)
+            assert len(pair) == 2 and all(isinstance(a, np.ndarray) for a in pair)
         # no tape: a basis may be a parameter leaf itself (the adapter weight),
         # every other tensor is a constant
         params = {id(t) for g in model.groups.values() for t in g.tensors.values()}
@@ -226,7 +226,8 @@ class TestModel:
 
     def test_unfolded_embeddings_travel_as_dense_rows(self):
         # a square adapter weight (depth 2) and T*K == d: no basis folds, so
-        # filter_batch and embed carry (n, d) rows, and fit trains on them
+        # filter_batch carries (n, d) tensors, embed (n, d) rows with basis
+        # None, and fit trains on them
         config = tiny_config(hidden_dim=3, adapter_depth=2, batch_size=7, max_rounds=1)
         targets = ("a", "b", "c")
         model = tiny_model(config, targets=targets)
@@ -235,11 +236,12 @@ class TestModel:
         assert isinstance(s, ad.Tensor) and isinstance(s_tilde, ad.Tensor)
         x, _, members = seen_rows(model, records)
         chunks = list(model.embed(x, members, model.seen_indicators))
-        assert all(isinstance(a, np.ndarray) for chunk in chunks for a in chunk)
-        np.testing.assert_allclose(np.concatenate([c for c, _ in chunks]), s.data,
+        for rows, basis in (pair for chunk in chunks for pair in chunk):
+            assert isinstance(rows, np.ndarray) and basis is None
+        np.testing.assert_allclose(np.concatenate([r for (r, _), _ in chunks]), s.data,
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(np.concatenate([c for _, c in chunks]), s_tilde.data,
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.concatenate([r for _, (r, _) in chunks]),
+                                   s_tilde.data, rtol=0, atol=1e-12)
         state = trainer.fit(config, tiny_split(targets=targets), tiny_indicators(targets))
         assert {row["phase"] for row in state.history} == {"dis", "filter"}
         assert all(np.isfinite(row["l_dis"]) for row in state.history)
