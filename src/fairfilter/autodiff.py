@@ -6,11 +6,12 @@ Every other tensor is a node, and every node comes from one call,
 from the value's gradient to one gradient per input. `backward` runs the
 maps and does all accumulation. The ops here are the ones a fit or a
 prediction reaches, each such a call: matmul, einsum, broadcasting add and
-mul, ReLU, basic indexing, reshape, and `dense`, one node per affine layer
-(x W + b, optionally ReLU'd), which `mlp_forward` runs for every layer. The
-loss terms in `objectives` are built the same way, each one node with a
-closed-form map. `logistic` holds the overflow-free softplus and sigmoid
-numerics that the losses and `Model.predict` read.
+mul, ReLU, `view` (indexing, transpose and reshape), and `dense`, one node
+per affine layer (x W + b, optionally ReLU'd) and the one check of a layer's
+shapes, which `mlp_forward` runs for every layer. The loss terms in
+`objectives` are built the same way, each one node with a closed-form map.
+`logistic` holds the overflow-free softplus and sigmoid numerics that the
+losses and `Model.predict` read.
 
 An embedding of low rank can travel as a factored pair (rows, basis)
 that stands for rows·basis: `factored` keeps the pair when the basis has
@@ -96,7 +97,7 @@ class Tensor:
         return mul(_wrap(other), self)
 
     def __getitem__(self, idx):
-        return tslice(self, idx)
+        return view(self, idx)
 
 
 def _wrap(x) -> Tensor:
@@ -169,15 +170,6 @@ def unfactored(x: Tensor | tuple[Tensor, Tensor]) -> Tensor:
     return matmul(*x) if isinstance(x, tuple) else x
 
 
-def shape_of(x: Tensor | tuple[Tensor, Tensor]) -> tuple[int, ...]:
-    """The shape of what x stands for: a tensor's own, or rows·basis's for a
-    factored (rows, basis) pair."""
-    if isinstance(x, tuple):
-        rows, basis = x
-        return rows.data.shape[:-1] + basis.data.shape[1:]
-    return x.data.shape
-
-
 def dense(x: Tensor | tuple[Tensor, Tensor], w: Tensor, b: Tensor,
           relu: bool = False) -> Tensor:
     """One affine layer x W + b, with an optional ReLU, as a single node.
@@ -226,24 +218,24 @@ def logistic(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.maximum(x, 0.0) + np.log1p(e), np.where(x >= 0, inv, e * inv), e * inv * inv
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    return node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
-
-
-def tslice(a: Tensor, idx) -> Tensor:
-    """numpy basic indexing: ints, slices, None and Ellipsis. Array and boolean
-    indices are rejected, as the backward would drop a repeated index's grads."""
+def view(a: Tensor, idx=(), axes=None, shape=None) -> Tensor:
+    """a[idx], its axes permuted by `axes`, then reshaped to `shape`, as one node
+    whose map applies the inverse moves. idx is basic indexing only: an array or
+    boolean index is rejected, as the map would drop a repeated index's grads."""
     parts = idx if isinstance(idx, tuple) else (idx,)
     if not all(p is None or p is Ellipsis or isinstance(p, (int, np.integer, slice))
                and not isinstance(p, bool) for p in parts):
-        raise GraphError(f"tslice takes basic indices only, got {idx!r}")
+        raise GraphError(f"view takes basic indices only, got {idx!r}")
+    out = a.data[idx] if axes is None else a.data[idx].transpose(axes)
+    moved = out.shape
 
     def grads(g):
+        g = g.reshape(moved)
         full = np.zeros_like(a.data)
-        full[idx] = g
+        full[idx] = g if axes is None else g.transpose(np.argsort(axes))
         return (full,)
 
-    return node(a.data[idx], (a,), grads)
+    return node(out if shape is None else out.reshape(shape), (a,), grads)
 
 
 def einsum(spec: str, *operands: Tensor) -> Tensor:
@@ -444,15 +436,8 @@ def mlp_forward(x: Tensor | tuple[Tensor, Tensor], layers: ParamGroup) -> Tensor
     n_layers = sum(1 for k in layers.tensors if k.startswith("W"))
     if n_layers == 0:
         raise DimensionError(f"group '{layers.name}' holds no layers")
-    if len(shape_of(x)) != 2:
-        raise DimensionError(f"mlp_forward: '{layers.name}' expects (n, d_in) input, "
-                             f"got shape {shape_of(x)}")
     h = x
     for i in range(n_layers):
-        w, b = layers.tensors[f"W{i}"], layers.tensors[f"b{i}"]
-        if shape_of(h)[1] != w.data.shape[0]:
-            raise DimensionError(
-                f"mlp_forward: layer {i} of '{layers.name}' expects input dim "
-                f"{w.data.shape[0]}, got {shape_of(h)[1]}")
-        h = dense(h, w, b, relu=i < n_layers - 1)
+        h = dense(h, layers.tensors[f"W{i}"], layers.tensors[f"b{i}"],
+                  relu=i < n_layers - 1)
     return h

@@ -30,15 +30,19 @@ from .trainer import (checkpoint_load, checkpoint_save, eval_indicators, fit,
                       resolve_indicators, write_events)
 
 
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _digests(*paths) -> dict[str, str]:
+    """Each input's SHA-256 by its path as given: a command hashes its inputs once."""
+    digests = {}
+    for path in paths:
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+        digests[str(path)] = digest.hexdigest()
+    return digests
 
 
-def _write_manifest(path, command: str, config: dict, inputs: list, outputs: list,
+def _write_manifest(path, command: str, config: dict, inputs: dict, outputs: list,
                     seed: int | None = None, warnings: list | None = None) -> None:
     save_json({
         "tool": "fairfilter",
@@ -46,7 +50,7 @@ def _write_manifest(path, command: str, config: dict, inputs: list, outputs: lis
         "command": command,
         "seed": seed,
         "config": config,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": inputs,
         "outputs": [str(p) for p in outputs],
         "warnings": warnings or [],
     }, path)
@@ -114,7 +118,7 @@ def synth(spec_file, out, vectors_out):
     manifest_path = str(out) + ".manifest.json"
     _write_manifest(manifest_path, "synth",
                     {"spec": {k: v for k, v in sorted(vars(spec).items())}},
-                    [spec_file], outputs, seed=spec.seed)
+                    _digests(spec_file), outputs, seed=spec.seed)
     click.echo(f"wrote {len(records)} posts to {out}")
 
 
@@ -151,7 +155,7 @@ def train(config_file, corpus, vectors, out_dir):
     save_json(split.manifest(), out / "split_manifest.json")
     _write_manifest(out / "manifest.json", "train",
                     {"train": vars(config), "split": vars(split_spec)},
-                    [config_file, corpus, vectors],
+                    _digests(config_file, corpus, vectors),
                     [ckpt, out / "events.jsonl", out / "split_manifest.json"],
                     seed=config.seed, warnings=warn)
     click.echo(f"best round {state.best_round}, checkpoint at {ckpt}")
@@ -186,7 +190,7 @@ def _select_records(corpus, split_manifest, split_name):
 @click.option("--out-dir", "-o", required=True, type=click.Path(file_okay=False))
 @click.option("--split-manifest", type=click.Path(exists=True, dir_okay=False),
               help="Restrict evaluation to one split of a training run.")
-@click.option("--split", "split_name", default="test", show_default=True)
+@click.option("--split", "split_name", help="A split of --split-manifest.  [default: test]")
 @_exits
 def eval_cmd(checkpoint, corpus, vectors, out_dir, split_manifest, split_name):
     """Score a corpus with a trained checkpoint and emit the fairness report.
@@ -194,8 +198,11 @@ def eval_cmd(checkpoint, corpus, vectors, out_dir, split_manifest, split_name):
     Filters for targets never seen in training are generated on the fly from
     their word-vector indicators.
     """
+    if split_name is not None and split_manifest is None:
+        raise ConfigError(f"--split {split_name} needs --split-manifest")
+    split = None if split_manifest is None else (split_name or "test")
     model = checkpoint_load(checkpoint)
-    records = _select_records(corpus, split_manifest, split_name)
+    records = _select_records(corpus, split_manifest, split)
     if not records:
         raise DataError("no records selected for evaluation")
     indicators, usable, warn = eval_indicators(model, records, load_word_vectors(vectors))
@@ -204,7 +211,7 @@ def eval_cmd(checkpoint, corpus, vectors, out_dir, split_manifest, split_name):
     if not usable:
         raise DataError("all records excluded (unresolvable targets)")
     scores = model.predict(usable, indicators)
-    split = split_name if split_manifest else None
+    inputs = _digests(checkpoint, corpus, vectors, *([split_manifest] if split_manifest else []))
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -217,15 +224,12 @@ def eval_cmd(checkpoint, corpus, vectors, out_dir, split_manifest, split_name):
     report = build_report(scores, usable,
                           threshold=model.config.threshold,
                           metadata={"split": split,
-                                    "checkpoint": str(checkpoint),
+                                    "checkpoint_sha256": inputs[str(checkpoint)],
                                     "seed": model.config.seed,
                                     "excluded_records": len(records) - len(usable),
                                     "warning_count": len(warn)})
     report_path = out / "report.json"
     report.save(report_path)
-    inputs = [checkpoint, corpus, vectors]
-    if split_manifest:
-        inputs.append(split_manifest)
     _write_manifest(out / "manifest.json", "eval",
                     {"split": split, "threshold": model.config.threshold},
                     inputs, [pred_path, report_path],
@@ -273,7 +277,7 @@ def export_filters(checkpoint, vectors, targets, out):
                    "filters": entries}, fh, allow_nan=False)
         fh.write("\n")
     _write_manifest(str(out) + ".manifest.json", "export-filters",
-                    {"targets": list(targets)}, [checkpoint, vectors], [out],
+                    {"targets": list(targets)}, _digests(checkpoint, vectors), [out],
                     seed=model.config.seed)
     click.echo(f"exported {len(entries)} filters to {out}")
 
@@ -315,11 +319,12 @@ def metrics_cmd(predictions, corpus, out, threshold):
     if not scores:
         raise DataError(f"predictions file '{predictions}' is empty")
     records = select_records(load_jsonl(corpus), scores, "prediction")
+    inputs = _digests(predictions, corpus)
     report = build_report([scores[r.id] for r in records], records, threshold=threshold,
-                          metadata={"source": str(predictions)})
+                          metadata={"predictions_sha256": inputs[str(predictions)]})
     report.save(out)
     _write_manifest(str(out) + ".manifest.json", "metrics",
-                    {"threshold": threshold}, [predictions, corpus], [out])
+                    {"threshold": threshold}, inputs, [out])
     click.echo(f"accuracy={report.accuracy:.4f} HF={report.hf:.4f}")
 
 

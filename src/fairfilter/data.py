@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, GraphError, utf8_or
+from .errors import ConfigError, DataError, DivergenceError, GraphError, utf8_or
 
 
 @dataclass
@@ -228,11 +228,20 @@ def save_jsonl(records: list[PostRecord], path) -> None:
             fh.write(json.dumps(record.to_json()) + "\n")
 
 
+def strict_dumps(obj, path, **kwargs) -> str:
+    """`json.dumps` with no NaN or Infinity token: a non-finite value raises
+    DivergenceError naming `path`, the file the text is for."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise DivergenceError(f"'{path}' would hold a non-finite value ({exc})") from None
+
+
 def save_json(obj, path) -> None:
-    """Write `obj` as indented, key-sorted JSON ending in a newline."""
+    """Write `obj` as indented, key-sorted strict JSON ending in a newline."""
+    text = strict_dumps(obj, path, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _balance(records: list[PostRecord], rng: np.random.Generator) -> list[PostRecord]:

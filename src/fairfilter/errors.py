@@ -26,8 +26,8 @@ class DataError(FairFilterError):
 
 
 class DivergenceError(FairFilterError):
-    """Non-finite loss, parameters, scores or filters, or a dead (all-zero)
-    generated filter in training."""
+    """Non-finite loss, parameters, scores, filters or JSON artifact values, or
+    a dead (all-zero) generated filter in training."""
 
     exit_code = 4
 

@@ -94,9 +94,9 @@ def target_theta(hyper: HyperFilter, indicators: np.ndarray) -> list[LowRankFact
         # filter is bitwise independent of the other targets generated with it
         h = ad.relu(ad.einsum("ti,ih->th", x, g[f"L{layer}.W0"]) + g[f"L{layer}.b0"])
         flat = ad.einsum("th,ha->ta", h, g[f"L{layer}.W1"]) + g[f"L{layer}.b1"]
-        u = ad.reshape(flat[:, :d * k], (t, d, k))
-        w = ad.reshape(flat[:, d * k:d * k + k * k], (t, k, k))
-        v = ad.reshape(flat[:, d * k + k * k:], (t, k, d + 1))
+        u = ad.view(flat, np.s_[:, :d * k], shape=(t, d, k))
+        w = ad.view(flat, np.s_[:, d * k:d * k + k * k], shape=(t, k, k))
+        v = ad.view(flat, np.s_[:, d * k + k * k:], shape=(t, k, d + 1))
         factors.append(LowRankFactors(p=ad.einsum("tdk,tkl->tld", u, w), v=v))
     return factors
 
@@ -126,19 +126,17 @@ def apply_filter(s: Tensor, factors: list[LowRankFactors], mix: np.ndarray
     `ad.factored(z * M_rep, P')`: the pair when T*K < d, else the product.
     """
     t, k, d = factors[0].p.shape
-    if s.data.ndim != 2 or s.data.shape[1] != d:
-        raise DimensionError(f"apply_filter: embeddings shape {s.shape} vs d={d}")
+    # the first `dense` checks s, but a misshapen mix would broadcast in z * M_rep
     if mix.shape != (s.data.shape[0], t):
         raise DimensionError(
             f"apply_filter: mixing shape {mix.shape} vs ({s.data.shape[0]}, {t})")
-    # M with each target's column repeated K times, matching the t-major
-    # (t, k) order of the reshaped factors below
+    # M_rep repeats each target's column K times, in the t-major order of V' and P'
     m_rep = ad.constant(np.repeat(mix, k, axis=1))
     h = s
     for i, f in enumerate(factors):
-        v_in = ad.reshape(ad.einsum("tkj->jtk", f.v[:, :, :d]), (d, t * k))
-        z = ad.dense(h, v_in, ad.reshape(f.v[:, :, d], (t * k,)))
-        h = ad.factored(z * m_rep, ad.reshape(f.p, (t * k, d)))
+        v_in = ad.view(f.v, np.s_[:, :, :d], axes=(2, 0, 1), shape=(d, t * k))
+        z = ad.dense(h, v_in, ad.view(f.v, np.s_[:, :, d], shape=(t * k,)))
+        h = ad.factored(z * m_rep, ad.view(f.p, shape=(t * k, d)))
         if i < len(factors) - 1:
             h = ad.relu(ad.unfactored(h))
     return h

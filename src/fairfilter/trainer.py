@@ -42,7 +42,7 @@ from . import autodiff as ad
 from . import hyperfilter as hf
 from . import objectives as obj
 from .autodiff import AdamState, ParamGroup, Tensor
-from .data import CorpusSplit, PostRecord, membership
+from .data import CorpusSplit, PostRecord, membership, strict_dumps
 from .embeddings import (EncoderAdapter, TargetIndicator, WordVectorStore, build_indicator,
                          encode_posts, stack_embeddings, tokenize_target)
 from .errors import (CheckpointError, ConfigError, DataError, DimensionError,
@@ -404,10 +404,10 @@ def fit(config: TrainConfig, split: CorpusSplit,
 
 def write_events(state: TrainState, path) -> None:
     """`state.events` as JSONL: one key-sorted object per line, with no NaN
-    or Infinity token (a non-finite value raises ValueError)."""
+    or Infinity token (`data.strict_dumps`), written only if all are finite."""
+    lines = [strict_dumps(e, path, sort_keys=True) + "\n" for e in state.events]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(e, sort_keys=True, allow_nan=False) + "\n"
-                      for e in state.events)
+        fh.writelines(lines)
 
 
 def checkpoint_save(model: Model, path) -> None:

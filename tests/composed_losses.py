@@ -64,14 +64,14 @@ def loss_dis(logits, p):
 
 
 def loss_hate(logits, y):
-    z = ad.reshape(logits, (-1,))
+    z = ad.view(logits, shape=(-1,))
     return mean(sub(softplus(z),
                     ad.constant(np.asarray(y, dtype=np.float64).reshape(-1)) * z))
 
 
 def loss_imi(logits, logits_prime):
-    z = ad.reshape(logits, (-1,))
-    z_prime = ad.reshape(logits_prime, (-1,))
+    z = ad.view(logits, shape=(-1,))
+    z_prime = ad.view(logits_prime, shape=(-1,))
     return mean(sub(softplus(z_prime), softplus(z)) + sigmoid(z) * sub(z, z_prime))
 
 
@@ -87,7 +87,8 @@ def loss_reg(constants, grams):
     total = ad.constant(0.0)
     for gram in grams:
         sq_norms = tsum(gram * eye, axis=1)
-        cos = div(gram, sqrt(ad.reshape(sq_norms, (n, 1)) * ad.reshape(sq_norms, (1, n))))
+        cos = div(gram, sqrt(ad.view(sq_norms, shape=(n, 1))
+                             * ad.view(sq_norms, shape=(1, n))))
         gap = sub(cos, ind_cos)
         total = total + tsum(gap * gap * pairs)
     return total

@@ -41,13 +41,16 @@ OPS = [
     lambda a, b: ad.node(2.0 * np.sin(a.data), (a, b),
                          lambda g: (g * 2.0 * np.cos(a.data), None)) + b,
     lambda a, b: ad.einsum("ij->ji", a) + ad.einsum("ij->ji", b),
-    lambda a, b: ad.reshape(a, (1, 9)) + ad.reshape(b, (1, 9)),
+    lambda a, b: ad.view(a, shape=(1, 9)) + ad.view(b, shape=(1, 9)),
     lambda a, b: a[1:, :] * b[:2, :],
     lambda a, b: a[::-1, None, 1] * b[..., 0],
     lambda a, b: ad.einsum("ij,kl->ik", a, b),
     lambda a, b: tsum(a, axis=0, keepdims=True) * b + tsum(b, axis=1),
     lambda a, b: (sigmoid(a + 800.0) + sigmoid(sub(a, 800.0))) * b,
     lambda a, b: ad.einsum("ij,jk,ki->i", a, b, a),
+    lambda a, b: ad.view(a, np.s_[1:, ::-1], axes=(1, 0), shape=(6,)) * ad.view(
+        b, np.s_[None, :2], axes=(2, 0, 1), shape=(6,)),
+    lambda a, b: ad.view(a, 1) * ad.view(b, (..., np.int64(2)), shape=(3, 1)),
 ]
 
 
@@ -86,12 +89,13 @@ class TestMlpForward:
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_shape_mismatch_names_the_layer(self):
+        """`dense` checks each layer's shapes, and its message gives them."""
         group = ParamGroup("m")
         group.add("W0", np.zeros((3, 2)))
         group.add("b0", np.zeros(2))
-        with pytest.raises(DimensionError, match="layer 0"):
+        with pytest.raises(DimensionError, match=r"dense shape mismatch: \(1, 4\) @ \(3, 2\)"):
             ad.mlp_forward(ad.constant(np.zeros((1, 4))), group)
-        with pytest.raises(DimensionError, match=r"expects \(n, d_in\)"):
+        with pytest.raises(DimensionError, match=r"dense shape mismatch: \(3,\) @ \(3, 2\)"):
             ad.mlp_forward(ad.constant(np.zeros(3)), group)
 
 
@@ -160,7 +164,6 @@ class TestFactored:
     def test_basis_with_fewer_rows_than_columns_stays_a_pair(self):
         rows, basis = ad.constant(np.ones((5, 2))), ad.constant(np.ones((2, 4)))
         assert ad.factored(rows, basis) == (rows, basis)
-        assert ad.shape_of((rows, basis)) == (5, 4)
 
     @pytest.mark.parametrize("basis_rows", [4, 6])
     def test_square_or_tall_basis_is_multiplied_out(self, basis_rows):
@@ -240,11 +243,12 @@ class TestBackward:
 
     @pytest.mark.parametrize("idx", [[2, 0, 0], (slice(None), np.array([1, 1])),
                                      np.array([True, False, True]), True])
-    def test_tslice_rejects_array_and_boolean_indices(self, idx):
+    def test_view_rejects_array_and_boolean_indices(self, idx):
         a = Tensor(np.zeros((3, 3)), requires_grad=True)
-        with pytest.raises(GraphError, match="basic indices") as info:
-            a[idx]
-        assert repr(idx) in str(info.value)
+        for build in (lambda: a[idx], lambda: ad.view(a, idx, axes=(1, 0))):
+            with pytest.raises(GraphError, match="basic indices") as info:
+                build()
+            assert repr(idx) in str(info.value)
 
     def test_einsum_rejects_malformed_subscripts(self):
         a = Tensor(np.zeros((2, 3)))

@@ -299,19 +299,45 @@ class TestEval:
         manifest = json.loads((workspace / "run" / "split_manifest.json").read_text())
         assert len(lines) - 1 == len(manifest["test"])
 
-    def test_split_without_manifest_is_recorded_as_none(self, workspace, runner):
-        out = workspace / "eval"
-        res = runner.invoke(main, [
-            "eval", str(workspace / "run" / "checkpoint.npz"),
-            str(workspace / "corpus.jsonl"), str(workspace / "vectors.txt"),
-            "-o", str(out), "--split", "validation"])
+    def test_split_without_manifest_exits_2_before_writing(self, workspace, runner):
+        res = runner.invoke(main, eval_args(workspace) + ["--split", "validation"])
+        assert res.exit_code == 2, res.output
+        assert res.stderr == "error: --split validation needs --split-manifest\n"
+        assert not (workspace / "e").exists()
+
+    def test_manifest_without_split_scores_the_test_split(self, workspace, runner):
+        split_manifest = workspace / "run" / "split_manifest.json"
+        res = runner.invoke(main, eval_args(workspace, split_manifest=split_manifest))
         assert res.exit_code == 0, res.output
-        report = json.loads((out / "report.json").read_text())
-        manifest = json.loads((out / "manifest.json").read_text())
-        # the whole corpus was scored, so no split was used
-        assert report["metadata"]["n_records"] == 160
-        assert report["metadata"]["split"] is None
-        assert manifest["config"]["split"] is None
+        report = json.loads((workspace / "e" / "report.json").read_text())
+        assert report["metadata"]["split"] == "test"
+        assert report["metadata"]["n_records"] == len(
+            json.loads(split_manifest.read_text())["test"])
+
+    def test_reports_do_not_depend_on_the_working_directory(self, workspace, runner,
+                                                             monkeypatch):
+        """`eval` and `metrics` record their input's digest, not its path, so
+        the same inputs give the same bytes from any directory."""
+        reports = []
+        for i, (cwd, up) in enumerate(((workspace, ""), (workspace / "sub", "../"))):
+            cwd.mkdir(exist_ok=True)
+            monkeypatch.chdir(cwd)
+            out = f"{up}out{i}"
+            for args in (["eval", f"{up}run/checkpoint.npz", f"{up}corpus.jsonl",
+                          f"{up}vectors.txt", "-o", out],
+                         ["metrics", f"{out}/predictions.csv", f"{up}corpus.jsonl",
+                          "-o", f"{out}/replay.json"]):
+                res = runner.invoke(main, args)
+                assert res.exit_code == 0, res.output
+            reports.append([(workspace / f"out{i}" / name).read_bytes()
+                            for name in ("report.json", "replay.json")])
+        first, second = reports
+        assert first == second
+        manifest = json.loads((workspace / "out0" / "manifest.json").read_text())
+        eval_meta = json.loads(first[0])["metadata"]
+        assert eval_meta["checkpoint_sha256"] == manifest["inputs"]["run/checkpoint.npz"]
+        assert json.loads(first[1])["metadata"]["predictions_sha256"] == hashlib.sha256(
+            (workspace / "out0" / "predictions.csv").read_bytes()).hexdigest()
 
     def test_unknown_split_exits_2(self, workspace, runner):
         res = runner.invoke(main, [
@@ -579,6 +605,7 @@ MALFORMED_INPUTS = {
     "export-zero-unseen-vector": (3, lambda ws: [
         "export-filters", str(ws / "run" / "checkpoint.npz"),
         str(filled_vectors(ws, "gamma", "0")), "gamma", "-o", str(ws / "f.json")]),
+    "eval-split-without-manifest": (2, lambda ws: eval_args(ws) + ["--split", "test"]),
     "eval-split-manifest-not-json": (3, lambda ws: eval_args(
         ws, split_manifest=text_file(ws, "s.json", "{not json"))),
     "train-corpus-nested-too-deeply": (3, lambda ws: [

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 import reference_synth
 from fairfilter import data
 from fairfilter.data import (PostRecord, SplitSpec, SyntheticSpec, load_jsonl,
-                             make_split, save_jsonl, synth_directions,
+                             make_split, save_json, save_jsonl, synth_directions,
                              synth_generate, synth_indicators)
-from fairfilter.errors import ConfigError, DataError
+from fairfilter.errors import ConfigError, DataError, DivergenceError
 
 
 def write_lines(path, lines):
@@ -77,6 +77,21 @@ class TestLoadJsonl:
         assert [r.id for r in loaded] == ["a", "b"]
         np.testing.assert_array_equal(loaded[0].embedding, records[0].embedding)
         assert loaded[1].text == "hello"
+
+
+class TestSaveJson:
+    def test_writes_indented_key_sorted_json(self, tmp_path):
+        p = tmp_path / "r.json"
+        save_json({"b": [1.5, None], "a": 1}, p)
+        assert p.read_text(encoding="utf-8") == \
+            '{\n  "a": 1,\n  "b": [\n    1.5,\n    null\n  ]\n}\n'
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_raises_divergence_and_writes_nothing(self, bad, tmp_path):
+        p = tmp_path / "r.json"
+        with pytest.raises(DivergenceError, match="r.json' would hold a non-finite"):
+            save_json({"metadata": {"hf": [0.1, bad]}}, p)
+        assert not p.exists()
 
 
 def rec(rid, targets, label=0, dim=2):

@@ -433,7 +433,7 @@ class TestTapeSize:
     def test_filter_step(self, d48, monkeypatch):
         model, (x, y, members) = d48
         assert self.tensors_built(monkeypatch, model, ("enc", "hyper", "hate"),
-                                  lambda: trainer.synergic_losses(model, x, y, members)) <= 41
+                                  lambda: trainer.synergic_losses(model, x, y, members)) <= 35
 
     def test_discriminator_step(self, d48, monkeypatch):
         model, (x, _, members) = d48
@@ -724,6 +724,15 @@ class TestEvents:
         assert strict_load(path) == state.events
         lines = path.read_text(encoding="utf-8").splitlines()
         assert all(list(e) == sorted(e) for e in map(json.loads, lines))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_event_raises_divergence_and_writes_nothing(self, bad, tmp_path):
+        path = tmp_path / "events.jsonl"
+        state = trainer.TrainState(model=None, adam={}, events=[
+            {"event": "step", "l_dis": 0.5}, {"event": "step", "l_dis": bad}])
+        with pytest.raises(DivergenceError, match="events.jsonl' would hold a non-finite"):
+            trainer.write_events(state, path)
+        assert not path.exists()
 
 
 class TestCheckpoint:
