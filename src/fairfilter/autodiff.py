@@ -13,10 +13,9 @@ shapes, which `mlp_forward` runs for every layer. The loss terms in
 `logistic` holds the overflow-free softplus and sigmoid numerics that the
 losses and `Model.predict` read.
 
-An embedding of low rank can travel as a factored pair (rows, basis)
-that stands for rows·basis: `factored` keeps the pair when the basis has
-fewer rows than columns and multiplies it out otherwise, and `dense` folds
-a pair's basis into its weight, so the product is never formed.
+Every embedding travels as a pair (rows, basis) that stands for
+rows·basis; `dense` folds a pair's basis into its weight, so the product is
+never formed, and `matmul(*pair)` forms it where it is needed.
 
 Graphs are rebuilt every step, so freeze state is captured at construction
 time of each node. A node that no gradient can reach keeps no inputs and no
@@ -156,27 +155,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                            a.data.T @ g if b.requires_grad else None))
 
 
-def factored(rows: Tensor, basis: Tensor) -> Tensor | tuple[Tensor, Tensor]:
-    """rows·basis as a layer input: the pair (rows, basis) when the basis has
-    fewer rows than columns, which `dense` folds into its weight, and
-    otherwise the product, formed once here. Shapes alone decide."""
-    if basis.data.shape[0] < basis.data.shape[1]:
-        return rows, basis
-    return matmul(rows, basis)
-
-
-def unfactored(x: Tensor | tuple[Tensor, Tensor]) -> Tensor:
-    """The tensor x stands for: x itself, or rows·basis for a pair."""
-    return matmul(*x) if isinstance(x, tuple) else x
-
-
 def dense(x: Tensor | tuple[Tensor, Tensor], w: Tensor, b: Tensor,
           relu: bool = False) -> Tensor:
     """One affine layer x W + b, with an optional ReLU, as a single node.
 
-    x is an (n, k) tensor or a factored pair (rows, basis) that stands for
-    rows·basis (`factored`); a pair's basis is folded into the weight,
-    rows·(basis·W), so the (n, k) product is never formed.
+    x is an (n, k) tensor or a pair (rows, basis) that stands for
+    rows·basis; a pair's basis is folded into the weight, rows·(basis·W),
+    so the (n, k) product is never formed.
     """
     rows, basis = x if isinstance(x, tuple) else (x, None)
     factors = [rows.shape] + ([] if basis is None else [basis.shape]) + [w.shape]

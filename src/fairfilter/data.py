@@ -160,6 +160,9 @@ class CorpusSplit:
         }
 
 
+_JSON_NUMBERS = frozenset((int, float))  # what json decodes a number to; bool is neither
+
+
 def _parse_record(obj: dict, line_no: int) -> PostRecord:
     if not isinstance(obj, dict):
         raise DataError(f"line {line_no}: expected a JSON object")
@@ -179,6 +182,9 @@ def _parse_record(obj: dict, line_no: int) -> PostRecord:
             raise DataError(f"line {line_no}: embedding must be a numeric array") from None
         if embedding.ndim != 1:
             raise DataError(f"line {line_no}: embedding must be one-dimensional")
+        # float64 conversion also takes JSON strings and booleans
+        if not _JSON_NUMBERS.issuperset(map(type, obj["embedding"])):
+            raise DataError(f"line {line_no}: embedding must be a numeric array")
         if not embedding.size:
             raise DataError(f"line {line_no}: embedding is empty")
     record = PostRecord(id=rid, targets=tuple(targets), label=label,

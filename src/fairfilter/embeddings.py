@@ -6,11 +6,9 @@ makes zero-shot filters for unseen targets possible (`build_indicator`, which
 only `trainer.resolve_indicators` calls). `encode_posts` is the adapter's
 one entry (`EncoderAdapter` only holds its parameters): it reads embedding
 rows, as `stack_embeddings` builds them from records, and returns the
-encoding through `autodiff.factored` over (last layer's input, last weight):
-at the default depth 1 with d_in < d that is the pair (x, W0), so a head's
-first layer folds W0 into its own weight instead of forming the (n, d)
-encoding (`autodiff.dense`); a square or tall last weight, as at any depth
-> 1, is multiplied out once.
+encoding as the pair (last layer's input, last weight), (x, W0) at the
+default depth 1, so a head's first layer folds the weight into its own
+instead of forming the (n, d) encoding (`autodiff.dense`).
 """
 
 from __future__ import annotations
@@ -137,12 +135,12 @@ def stack_embeddings(records) -> np.ndarray:
     return np.stack([r.embedding for r in records])
 
 
-def encode_posts(x: np.ndarray, adapter: EncoderAdapter) -> Tensor | tuple[Tensor, Tensor]:
+def encode_posts(x: np.ndarray, adapter: EncoderAdapter) -> tuple[Tensor, Tensor]:
     """Run embedding rows x (n, d_in) through the adapter, whose group gets the
-    gradients; the (n, d) encoding is `ad.factored(last input, last weight)`."""
+    gradients; the (n, d) encoding is the pair (last input, last weight)."""
     if x.shape[1] != adapter.d_in:
         raise DataError(f"adapter expects embeddings of dim {adapter.d_in}, got {x.shape[1]}")
     h = ad.constant(x)
     for i in range(adapter.depth - 1):
         h = ad.relu(ad.matmul(h, adapter.group.tensors[f"W{i}"]))
-    return ad.factored(h, adapter.group.tensors[f"W{adapter.depth - 1}"])
+    return h, adapter.group.tensors[f"W{adapter.depth - 1}"]

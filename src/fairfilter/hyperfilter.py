@@ -19,11 +19,10 @@ this as two matrix products per layer over the T*K rank components of all
 targets side by side: z = h V' + b, with V' the (d, T*K) stack of the
 V_t[:, :d] and b that of the V_t[:, d]; then h = (z * M_rep) P', with P'
 the (T*K, d) stack of the P_t and M_rep = M with each column repeated K
-times. The last layer's product is left to the consumer: when T*K < d,
-`apply_filter` returns the pair (z * M_rep, P'), of rank at most T*K, and a
-head's first layer folds P' into its weight (`autodiff.factored`,
-`autodiff.dense`), so no (n, d) filtered embedding is formed on the
-training or scoring paths; otherwise it returns the product.
+times. The last layer's product is left to the consumer: `apply_filter`
+returns the pair (z * M_rep, P'), of rank at most T*K, and a head's first
+layer folds P' into its weight (`autodiff.dense`), so no (n, d) filtered
+embedding is formed on the training or scoring paths.
 
 `target_theta` is the generator's one entry (`HyperFilter` only holds its
 parameters): one pass per layer over a (T, indicator_dim) stack of
@@ -115,15 +114,15 @@ def ensemble_params(hyper: HyperFilter, indicators: np.ndarray, targets: np.ndar
 
 
 def apply_filter(s: Tensor, factors: list[LowRankFactors], mix: np.ndarray
-                 ) -> Tensor | tuple[Tensor, Tensor]:
+                 ) -> tuple[Tensor, Tensor]:
     """Filter post embeddings s (n, d) through the factored layers.
 
     Each target's layer is affine, P^T (V[:, :d] h + V[:, d]); a post's
     output is the M-weighted sum over targets, computed as two matrix
     products over all targets' stacked rank components (module docstring).
     ReLU between layers, identity at the end so the output lives in the
-    same space as s. The last layer's (n, d) output is returned as
-    `ad.factored(z * M_rep, P')`: the pair when T*K < d, else the product.
+    same space as s. The last layer's (n, d) output is returned as the
+    pair (z * M_rep, P').
     """
     t, k, d = factors[0].p.shape
     # the first `dense` checks s, but a misshapen mix would broadcast in z * M_rep
@@ -136,9 +135,9 @@ def apply_filter(s: Tensor, factors: list[LowRankFactors], mix: np.ndarray
     for i, f in enumerate(factors):
         v_in = ad.view(f.v, np.s_[:, :, :d], axes=(2, 0, 1), shape=(d, t * k))
         z = ad.dense(h, v_in, ad.view(f.v, np.s_[:, :, d], shape=(t * k,)))
-        h = ad.factored(z * m_rep, ad.view(f.p, shape=(t * k, d)))
+        h = z * m_rep, ad.view(f.p, shape=(t * k, d))
         if i < len(factors) - 1:
-            h = ad.relu(ad.unfactored(h))
+            h = ad.relu(ad.matmul(*h))
     return h
 
 

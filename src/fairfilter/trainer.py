@@ -18,12 +18,10 @@ validation and a closing best event, which `write_events` writes as JSONL.
 
 `Model.embed` is the one no-tape embedding path, over rows: `Model.predict`
 tabulates posts on their own sorted targets and reads it, and the
-discriminator phase, whose filters are frozen, reads it once per phase. It
-hands on each embedding in one form, a (rows, basis) pair of arrays: where
-the basis has fewer rows than columns (`filter_batch`, `autodiff.factored`)
-a head folds it into its first layer (`autodiff.dense`), so the
-discriminator phase keeps s_tilde's (n, T*K) coefficient rows and one
-basis; elsewhere the basis is None and the rows are the (n, d) embedding.
+discriminator phase, whose filters are frozen, reads it once per phase.
+Every embedding is a (rows, basis) pair (`filter_batch`) whose basis a
+head folds into its first layer (`autodiff.dense`), so the discriminator
+phase keeps s_tilde's (n, T*K) coefficient rows and one (T*K, d) basis.
 `resolve_indicators` is the one lookup from target names to indicators, for
 training, scoring (through `eval_indicators`) and filter export alike.
 """
@@ -142,33 +140,33 @@ class Model:
                 "dis": self.discriminator.group, "hate": self.classifier.group}
 
     def filter_batch(self, x: np.ndarray, factors: list[hf.LowRankFactors],
-                     mix: np.ndarray) -> tuple[Tensor | tuple[Tensor, Tensor], ...]:
+                     mix: np.ndarray) -> tuple[tuple[Tensor, Tensor], ...]:
         """Encode embedding rows x, then filter each with its target-set
         ensemble: one row of `mix` per row of x over the targets of `factors`.
-        Returns (unfiltered s, filtered s_tilde), rows in x's order, each an
-        (n, d) tensor or a (rows, basis) pair standing for one
-        (`ad.factored`). The filter reads s multiplied out."""
+        Returns (unfiltered s, filtered s_tilde), rows in x's order, each a
+        (rows, basis) pair standing for the (n, d) rows·basis. The filter
+        reads s multiplied out."""
         s = encode_posts(x, self.adapter)
-        return s, hf.apply_filter(ad.unfactored(s), factors, mix)
+        return s, hf.apply_filter(ad.matmul(*s), factors, mix)
 
     def embed(self, x: np.ndarray, targets: np.ndarray, indicators: np.ndarray):
         """Yield (s, s_tilde) in `batch_size` chunks of the rows x, with no
         tape; `targets` (n, T) is their membership over the rows of the
         (T, indicator_dim) `indicators` stack, whose filters are made once.
 
-        Each of s and s_tilde is a (rows, basis) pair of arrays: rows @ basis
-        is the dense (n, d) embedding, and basis is None where `filter_batch`
-        multiplied it out, the rows being the embedding. A basis is the same
-        in every chunk: s's is the adapter's last weight, s_tilde's the
-        (T*K, d) stack of the last filter layer's P.
+        Each of s and s_tilde is `filter_batch`'s (rows, basis) pair, built
+        with no tape. A basis holds the same values in every chunk: s's is
+        the adapter's last weight, s_tilde's the (T*K, d) stack of the last
+        filter layer's P. No `no_grad` block spans a yield, so the caller's
+        tape state holds between chunks.
         """
         with ad.no_grad():
             factors, mix = hf.ensemble_params(self.hyper, indicators, targets)
         for start in range(0, len(x), self.config.batch_size):
             rows = slice(start, start + self.config.batch_size)
             with ad.no_grad():
-                s, s_tilde = self.filter_batch(x[rows], factors, mix[rows])
-            yield _arrays(s), _arrays(s_tilde)
+                pairs = self.filter_batch(x[rows], factors, mix[rows])
+            yield pairs
 
     def predict(self, records: list[PostRecord],
                 indicators: dict[str, np.ndarray]) -> np.ndarray:
@@ -187,23 +185,13 @@ class Model:
         x, _, targets = tabulate(records, names)
         stack = np.stack([indicators[t] for t in names])
         with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
-            logits = np.concatenate([self.classifier.forward(_constants(s_tilde)).data
+            logits = np.concatenate([self.classifier.forward(s_tilde).data
                                      for _, s_tilde in self.embed(x, targets, stack)])
         bad = int(np.count_nonzero(~np.isfinite(logits)))
         if bad:
             raise DivergenceError(f"non-finite classifier logits for {bad} of "
                                   f"{len(records)} posts; the weights overflow")
         return ad.logistic(logits)[1].reshape(-1)
-
-
-def _arrays(x: Tensor | tuple[Tensor, Tensor]) -> tuple[np.ndarray, np.ndarray | None]:
-    """An embedding as a (rows, basis) pair of arrays, basis None for a tensor."""
-    return (x[0].data, x[1].data) if isinstance(x, tuple) else (x.data, None)
-
-
-def _constants(x: tuple[np.ndarray, np.ndarray | None]) -> Tensor | tuple[Tensor, Tensor]:
-    """`_arrays` back as a tape-free head input, in `ad.factored`'s form."""
-    return ad.constant(x[0]) if x[1] is None else tuple(map(ad.constant, x))
 
 
 @dataclass
@@ -218,7 +206,7 @@ class TrainState:
     events: list[dict] = field(default_factory=list)  # flat dicts; "event" names the kind
 
     # read-only views for bench/run.py, retired when the benchmark reads
-    # `events` (ROADMAP item 8)
+    # `events` (ROADMAP item 10)
     @property
     def telemetry(self) -> list[dict]:
         """The step events."""
@@ -231,13 +219,12 @@ class TrainState:
                 for e in self.events if e["event"] == "epoch"]
 
 
-def discriminator_losses(model: Model, s_tilde: tuple[np.ndarray, np.ndarray | None],
+def discriminator_losses(model: Model, s_tilde: tuple[Tensor, Tensor],
                          targets: np.ndarray) -> dict[str, Tensor]:
     """The discriminator phase's objective: recover each post's seen targets
-    (multi-hot rows) from its filtered embedding, s_tilde in `Model.embed`'s
-    (rows, basis) form."""
-    return {"l_dis": obj.loss_dis(model.discriminator.forward(_constants(s_tilde)),
-                                  targets)}
+    (multi-hot rows) from its filtered embedding, s_tilde a tape-free
+    (rows, basis) pair as `Model.embed` yields it."""
+    return {"l_dis": obj.loss_dis(model.discriminator.forward(s_tilde), targets)}
 
 
 def synergic_losses(model: Model, x: np.ndarray, y: np.ndarray,
@@ -323,10 +310,10 @@ def phase_discriminator(state: TrainState, rows: tuple[np.ndarray, ...],
     model = state.model
     x, y, targets = rows
     chunks = [s_tilde for _, s_tilde in model.embed(x, targets, model.seen_indicators)]
-    s_rows, basis = np.concatenate([c for c, _ in chunks]), chunks[0][1]
+    s_rows, basis = np.concatenate([c.data for c, _ in chunks]), chunks[0][1]
     _run_phase(state, x, y, epochs, rng, "dis", ("dis",),
-               lambda batch: discriminator_losses(model, (s_rows[batch], basis),
-                                                  targets[batch]))
+               lambda batch: discriminator_losses(
+                   model, (ad.constant(s_rows[batch]), basis), targets[batch]))
 
 
 def phase_filter(state: TrainState, rows: tuple[np.ndarray, ...],

@@ -116,7 +116,7 @@ def test_ensemble_laws(announce):
 
     def filtered(stack, targets):
         factors, mix = hf.ensemble_params(hyper, stack, targets)
-        return ad.unfactored(hf.apply_filter(s, factors, mix)).data
+        return ad.matmul(*hf.apply_filter(s, factors, mix)).data
 
     sets = [{"t0", "t2"}, {"t1"}, set(names), {"t3", "t1"}, {"t0"}, {"t2", "t3"}]
     members = membership(sets, names)
@@ -133,8 +133,8 @@ def test_ensemble_laws(announce):
 
     # a singleton set is filtered by its own target's filter, exactly, also
     # when the stack holds other targets
-    solo = ad.unfactored(hf.apply_filter(s, hf.target_theta(hyper, inds[:1]),
-                                         np.ones((6, 1)))).data
+    solo = ad.matmul(*hf.apply_filter(s, hf.target_theta(hyper, inds[:1]),
+                                      np.ones((6, 1)))).data
     assert np.array_equal(single, solo)
     assert np.array_equal(filtered(inds, membership([{"t0"}] * 6, names)), solo)
     announce("[4/9] ensemble laws: PASS "

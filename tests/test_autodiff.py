@@ -160,25 +160,6 @@ class TestDense:
             ad.dense((ad.constant(np.zeros((5, 2))), ad.constant(np.zeros((2, 5)))), w, b)
 
 
-class TestFactored:
-    def test_basis_with_fewer_rows_than_columns_stays_a_pair(self):
-        rows, basis = ad.constant(np.ones((5, 2))), ad.constant(np.ones((2, 4)))
-        assert ad.factored(rows, basis) == (rows, basis)
-
-    @pytest.mark.parametrize("basis_rows", [4, 6])
-    def test_square_or_tall_basis_is_multiplied_out(self, basis_rows):
-        rng = np.random.default_rng(basis_rows)
-        rows, basis = rng.normal(size=(5, basis_rows)), rng.normal(size=(basis_rows, 4))
-        out = ad.factored(ad.constant(rows), ad.constant(basis))
-        assert isinstance(out, Tensor)
-        np.testing.assert_array_equal(out.data, rows @ basis)
-
-    def test_unfactored_multiplies_a_pair_and_passes_a_tensor(self):
-        rows, basis = ad.constant(np.ones((5, 2))), ad.constant(np.full((2, 4), 3.0))
-        np.testing.assert_array_equal(ad.unfactored((rows, basis)).data, np.full((5, 4), 6.0))
-        assert ad.unfactored(rows) is rows
-
-
 class TestBackward:
     def test_linear_case_gradient_is_input_outer_product(self):
         rng = np.random.default_rng(0)

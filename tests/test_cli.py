@@ -514,8 +514,8 @@ def non_utf8(path):
     return copy
 
 
-def train_args(ws, config, vectors=None):
-    return ["train", str(config), str(ws / "corpus.jsonl"),
+def train_args(ws, config, vectors=None, corpus=None):
+    return ["train", str(config), str(corpus or ws / "corpus.jsonl"),
             str(vectors or ws / "vectors.txt"), "-o", str(ws / "r")]
 
 
@@ -563,6 +563,11 @@ MALFORMED_INPUTS = {
         "train", str(ws / "train.cfg"),
         str(edited_corpus(ws, "empty.jsonl", lambda r: r.update(embedding=[]))),
         str(ws / "vectors.txt"), "-o", str(ws / "r")]),
+    "train-string-embedding-entries": (3, lambda ws: train_args(ws, ws / "train.cfg", corpus=(
+        edited_corpus(ws, "strings.jsonl",
+                      lambda r: r.update(embedding=[str(v) for v in r["embedding"]]))))),
+    "eval-boolean-embedding-entries": (3, lambda ws: eval_args(ws, corpus=edited_corpus(
+        ws, "booleans.jsonl", lambda r: r.update(embedding=[v > 0 for v in r["embedding"]])))),
     "eval-mixed-embedding-widths": (3, lambda ws: eval_args(
         ws, corpus=mixed_width_corpus(ws))),
     "eval-vectors-narrower-than-indicators": (3, lambda ws: eval_args(

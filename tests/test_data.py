@@ -61,6 +61,21 @@ class TestLoadJsonl:
         with pytest.raises(DataError, match="line 1: .*label must be 0 or 1"):
             load_jsonl(p)
 
+    @pytest.mark.parametrize("entries", ['["1.5", "2"]', "[true, false]", "[0.5, true]",
+                                         "[0.5, null]"])
+    def test_embedding_entries_must_be_json_numbers(self, tmp_path, entries):
+        # float64 conversion would read "1.5" as 1.5 and true as 1.0
+        p = tmp_path / "c.jsonl"
+        write_lines(p, ['{"id":"a","embedding":[0.1,0.2],"targets":["x"],"label":0}',
+                        f'{{"id":"b","embedding":{entries},"targets":["x"],"label":1}}'])
+        with pytest.raises(DataError, match="line 2: embedding must be a numeric array"):
+            load_jsonl(p)
+
+    def test_integer_embedding_entries_accepted(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        write_lines(p, ['{"id":"a","embedding":[1,-2],"targets":["x"],"label":0}'])
+        np.testing.assert_array_equal(load_jsonl(p)[0].embedding, [1.0, -2.0])
+
     def test_missing_text_and_embedding_rejected(self, tmp_path):
         p = tmp_path / "c.jsonl"
         write_lines(p, ['{"id":"a","targets":["x"],"label":0}'])

@@ -115,16 +115,15 @@ class TestEncoderAdapter:
         adapter = emb.EncoderAdapter(4, 4, np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(3, 4))
         out = emb.encode_posts(x, adapter)
-        np.testing.assert_array_equal(out.data, x)
+        np.testing.assert_array_equal(ad.matmul(*out).data, x)
 
     def test_projecting_layer_output_shape(self):
         adapter = emb.EncoderAdapter(10, 6, np.random.default_rng(0))
         out = emb.encode_posts(np.zeros((5, 10)), adapter)
-        assert out.data.shape == (5, 6)
+        assert ad.matmul(*out).data.shape == (5, 6)
 
     def test_narrow_input_encodes_as_a_pair(self):
-        # d_in < d_out: the encoding stays factored as (x, W0), which a
-        # head's first layer folds
+        # the encoding is the pair (x, W0), which a head's first layer folds
         adapter = emb.EncoderAdapter(3, 6, np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(5, 3))
         rows, basis = emb.encode_posts(x, adapter)
@@ -138,7 +137,8 @@ class TestEncoderAdapter:
 
     def test_gradients_reach_adapter_weights(self):
         adapter = emb.EncoderAdapter(5, 3, np.random.default_rng(0), depth=2)
-        out = emb.encode_posts(np.random.default_rng(1).normal(size=(4, 5)), adapter)
+        out = ad.matmul(*emb.encode_posts(np.random.default_rng(1).normal(size=(4, 5)),
+                                          adapter))
         ad.backward(tsum(out * out))
         for name, tensor in adapter.group.tensors.items():
             assert tensor.grad is not None, name
@@ -153,7 +153,7 @@ class TestEncodePosts:
                    PostRecord(id="b", targets=("x",), label=1,
                               embedding=np.asarray([3.0, 4.0]))]
         adapter = emb.EncoderAdapter(2, 2, np.random.default_rng(0))
-        out = emb.encode_posts(emb.stack_embeddings(records), adapter)
+        out = ad.matmul(*emb.encode_posts(emb.stack_embeddings(records), adapter))
         np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_text_only_record_rejected(self):

@@ -157,9 +157,9 @@ class TestEnsembleParams:
             tabulate([post("t0", "ghost")], ["t0", "t1"])
 
 
-def multiplied(x):
-    """The dense (n, d) embeddings of a tensor or of a (rows, basis) pair."""
-    return ad.unfactored(x).data
+def multiplied(pair):
+    """The dense (n, d) embeddings rows·basis of a (rows, basis) pair."""
+    return ad.matmul(*pair).data
 
 
 def dense_as_factors(*thetas):
@@ -267,8 +267,8 @@ class TestGradientFlow:
         rng = np.random.default_rng(9)
         ind = {f"t{i}": rng.normal(size=3) for i in range(2)}
         factors, mix = ensemble(hyper, ind, [{"t0", "t1"}, {"t0"}, {"t1"}])
-        out = ad.unfactored(hf.apply_filter(ad.constant(rng.normal(size=(3, 4))), factors,
-                                            mix))
+        out = ad.matmul(*hf.apply_filter(ad.constant(rng.normal(size=(3, 4))), factors,
+                                         mix))
         ad.backward(tsum(out * out))
         grads = hyper.group.grads
         assert all(g is not None for g in grads.values())

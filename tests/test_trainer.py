@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import warnings
 
@@ -72,9 +73,9 @@ def taped_filter_batch(model, records):
         model.hyper, model.seen_indicators, targets))
 
 
-def multiplied(x):
-    """The dense (n, d) embeddings of a tensor or of a (rows, basis) pair."""
-    return ad.unfactored(x).data
+def multiplied(pair):
+    """The dense (n, d) embeddings rows·basis of a (rows, basis) pair."""
+    return ad.matmul(*pair).data
 
 
 def events_of(state, kind):
@@ -208,60 +209,91 @@ class TestModel:
         monkeypatch.setattr(Model, "filter_batch", recording)
         x, _, targets = seen_rows(model, records)
         chunks = list(model.embed(x, targets, model.seen_indicators))
-        assert [len(rows) for (rows, _), _ in chunks] == [
+        assert [len(rows.data) for (rows, _), _ in chunks] == [
             min(batch_size, 40 - start) for start in range(0, 40, batch_size)]
-        assert len(built) == len(chunks)
-        for pair in (pair for chunk in chunks for pair in chunk):
-            assert len(pair) == 2 and all(isinstance(a, np.ndarray) for a in pair)
+        assert chunks == built
         # no tape: a basis may be a parameter leaf itself (the adapter weight),
         # every other tensor is a constant
         params = {id(t) for g in model.groups.values() for t in g.tensors.values()}
-        for node in (t for chunk in built for pair in chunk for t in pair):
+        for node in (t for chunk in chunks for pair in chunk for t in pair):
             assert node._parents == () and (id(node) in params or not node.requires_grad)
         # one product per pair gives the dense embeddings
-        np.testing.assert_allclose(np.concatenate([r @ b for (r, b), _ in chunks]),
+        np.testing.assert_allclose(np.concatenate([multiplied(s) for s, _ in chunks]),
                                    multiplied(s), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(np.concatenate([r @ b for _, (r, b) in chunks]),
+        np.testing.assert_allclose(np.concatenate([multiplied(t) for _, t in chunks]),
                                    multiplied(s_tilde), rtol=0, atol=1e-12)
 
-    def test_unfolded_embeddings_travel_as_dense_rows(self):
-        # a square adapter weight (depth 2) and T*K == d: no basis folds, so
-        # filter_batch carries (n, d) tensors, embed (n, d) rows with basis
-        # None, and fit trains on them
-        config = tiny_config(hidden_dim=3, adapter_depth=2, batch_size=7, max_rounds=1)
+    def test_embed_holds_no_grad_only_while_it_filters(self):
+        model = tiny_model(tiny_config(batch_size=7))
+        x, _, members = seen_rows(model, tiny_records(20))
+        chunks = model.embed(x, members, model.seen_indicators)
+        next(chunks)  # suspended at its first yield, not closed
+        a = ad.Tensor(np.ones(2), requires_grad=True)
+        assert (a * a)._parents == (a, a)
+        chunks.close()
+
+    @pytest.mark.parametrize("config", [
+        tiny_config(hidden_dim=3), tiny_config(adapter_depth=2), TrainConfig()],
+        ids=["square-filter-basis", "adapter-depth-2", "default-config"])
+    def test_heads_on_embedding_pairs_match_heads_on_products(self, config):
+        # every embedding is a (rows, basis) pair, also where the basis is not
+        # wide: T*K = d = 3 with a 4 x 3 adapter weight, or the square W1 at
+        # adapter depth 2; a head folds the basis and reads the product
         targets = ("a", "b", "c")
         model = tiny_model(config, targets=targets)
         records = tiny_records(20, targets=targets)
-        s, s_tilde = taped_filter_batch(model, records)
-        assert isinstance(s, ad.Tensor) and isinstance(s_tilde, ad.Tensor)
         x, _, members = seen_rows(model, records)
-        chunks = list(model.embed(x, members, model.seen_indicators))
-        for rows, basis in (pair for chunk in chunks for pair in chunk):
-            assert isinstance(rows, np.ndarray) and basis is None
-        np.testing.assert_allclose(np.concatenate([r for (r, _), _ in chunks]), s.data,
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(np.concatenate([r for _, (r, _) in chunks]),
-                                   s_tilde.data, rtol=0, atol=1e-12)
+        sources = (lambda: taped_filter_batch(model, records),
+                   lambda: next(model.embed(x, members, model.seen_indicators)))
+
+        def head_on(head, embedding):
+            """The head's output, and every gradient of its sum of squares."""
+            out = head.forward(embedding)
+            ad.backward(composed_losses.tsum(out * out))
+            grads = {}
+            for name, group in model.groups.items():
+                for key, t in group.tensors.items():
+                    if t.grad is not None:
+                        grads[f"{name}.{key}"], t.grad = t.grad, None
+            return out.data, grads
+
+        for source, i, head in itertools.product(sources, (0, 1),
+                                                 (model.classifier, model.discriminator)):
+            pair = source()[i]
+            assert isinstance(pair, tuple) and len(pair) == 2
+            got, got_grads = head_on(head, pair)
+            # a fresh pair: backward leaves gradients on the taped nodes it ran
+            want, want_grads = head_on(head, ad.matmul(*source()[i]))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert got_grads.keys() == want_grads.keys()
+            for key, g in want_grads.items():
+                np.testing.assert_allclose(got_grads[key], g, rtol=0, atol=1e-12, err_msg=key)
+
+    def test_fit_trains_where_no_basis_is_wide(self):
+        # T*K == d == 3 and a square adapter weight at depth 2
+        config = tiny_config(hidden_dim=3, adapter_depth=2, batch_size=7, max_rounds=1)
+        targets = ("a", "b", "c")
         state = trainer.fit(config, tiny_split(targets=targets), tiny_indicators(targets))
         assert {row["phase"] for row in state.history} == {"dis", "filter"}
         assert all(np.isfinite(row["l_dis"]) for row in state.history)
 
     def test_unfolded_adapter_output_is_formed_once(self):
-        # at adapter depth 2 the last weight W1 is square and does not fold:
-        # s = h W1 is formed once and read by the filter and the classifier
+        # at adapter depth 2 the last weight W1 is square: s = h W1 is
+        # multiplied out once, for the filter, and the classifier folds W1
         model = tiny_model(tiny_config(adapter_depth=2), targets=("a", "b", "c"))
         x, y, targets = seen_rows(model, tiny_records(12, targets=("a", "b", "c")))
         losses = trainer.synergic_losses(model, x, y, targets)
         w_last = model.adapter.group.tensors["W1"]
-        seen, stack, readers = set(), [losses["synergic"]], 0
+        seen, stack, readers = set(), [losses["synergic"]], []
         while stack:
             node = stack.pop()
             if id(node) in seen:
                 continue
             seen.add(id(node))
-            readers += any(p is w_last for p in node._parents)
+            if any(p is w_last for p in node._parents):
+                readers.append(node.data.shape)
             stack.extend(node._parents)
-        assert readers == 1
+        assert sorted(readers) == [(12, 4), (12, 8)]  # z' = s W0 + b0 and s
 
     def test_predict_is_order_equivariant(self):
         model = tiny_model()
